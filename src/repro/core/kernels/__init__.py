@@ -22,6 +22,7 @@ from repro.core.kernels.base import (
     set_default_backend,
     set_metrics_sink,
     set_pass_observer,
+    validate_swap_resume,
 )
 from repro.core.kernels.python_backend import PythonBackend
 from repro.core.kernels.sc_store import SwapCandidateStore
@@ -48,4 +49,5 @@ __all__ = [
     "resolve_graph_backend",
     "resolve_maintainer_backend",
     "set_default_backend",
+    "validate_swap_resume",
 ]

@@ -13,8 +13,9 @@ Algorithms 3/4 two-k-swap) against a scan source.  Two backends ship:
   the block-batched ndarray chunks a file-backed source yields through
   ``scan_batches`` (the semi-external path).  Every full-graph O(n)/O(E)
   sweep (bitmap initialisation, adjacency labelling, pointer counting,
-  swap commits, completion passes) runs as ndarray operations; only the
-  inherently sequential per-round swap-conflict logic stays scalar.
+  swap commits, completion passes) runs as ndarray operations; the
+  inherently sequential swap-conflict logic runs scalar only over the
+  candidates it must (see :mod:`repro.core.kernels.two_k_scan`).
   Results — independent sets, per-round telemetry and I/O counters — are
   bit-identical to the python backend.
 
@@ -41,7 +42,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.result import RoundStats
-from repro.errors import SolverError
+from repro.core.states import VertexState
+from repro.errors import CheckpointError, SolverError
 
 __all__ = [
     "KernelBackend",
@@ -61,6 +63,7 @@ __all__ = [
     "set_default_backend",
     "set_metrics_sink",
     "set_pass_observer",
+    "validate_swap_resume",
 ]
 
 #: Environment variable that overrides the auto-detected default backend.
@@ -223,6 +226,78 @@ def decode_history(payload) -> Optional[set]:
     return {bytes.fromhex(entry) for entry in payload}
 
 
+#: Per-vertex anchor arrays of each swap pass's round-state snapshot.
+_SNAPSHOT_ANCHORS = {"one_k_swap": ("isn",), "two_k_swap": ("isn1", "isn2")}
+_SNAPSHOT_SCALARS = {
+    "one_k_swap": ("initial_size", "current_size", "can_swap", "oscillation"),
+    "two_k_swap": (
+        "initial_size",
+        "current_size",
+        "can_swap",
+        "oscillation",
+        "max_sc_vertices",
+    ),
+}
+
+
+def validate_swap_resume(resume, pass_name: str, num_vertices: int) -> None:
+    """Reject a malformed round-state snapshot with :class:`CheckpointError`.
+
+    Checks, in O(n) vectorized compares, what the swap loops rely on at a
+    round boundary: every per-vertex array has ``num_vertices`` entries,
+    states are IS / N / A, anchor ids lie in ``[-1, n)``, every A vertex
+    has a first anchor, and two anchors are stored ascending
+    (``isn1 < isn2``).  The scalar fields, round telemetry and history
+    must decode.
+    """
+
+    import numpy as np
+
+    anchor_names = _SNAPSHOT_ANCHORS[pass_name]
+    try:
+        arrays = {
+            name: np.asarray(resume[name], dtype=np.int64)
+            for name in ("state",) + anchor_names
+        }
+        for name in _SNAPSHOT_SCALARS[pass_name]:
+            int(resume[name])
+        decode_rounds(resume["rounds"])
+        decode_history(resume["history"])
+    except (KeyError, TypeError, ValueError, OverflowError, IndexError) as exc:
+        raise CheckpointError(f"malformed {pass_name} resume state: {exc!r}") from None
+
+    for name, values in arrays.items():
+        if values.shape != (num_vertices,):
+            raise CheckpointError(
+                f"{pass_name} resume state: {name!r} has shape {values.shape}, "
+                f"expected ({num_vertices},)"
+            )
+    state = arrays["state"]
+    allowed = (state == VertexState.IS) | (state == VertexState.NON_IS)
+    adjacent = state == VertexState.ADJACENT
+    if not (allowed | adjacent).all():
+        bad = int(state[~(allowed | adjacent)][0])
+        raise CheckpointError(f"{pass_name} resume state: invalid vertex state {bad}")
+    first = arrays[anchor_names[0]]
+    for name in anchor_names:
+        values = arrays[name]
+        if ((values < -1) | (values >= num_vertices)).any():
+            raise CheckpointError(
+                f"{pass_name} resume state: {name!r} holds an anchor outside "
+                f"[-1, {num_vertices})"
+            )
+    if (adjacent & (first < 0)).any():
+        raise CheckpointError(
+            f"{pass_name} resume state: an A vertex has no anchor in {anchor_names[0]!r}"
+        )
+    if len(anchor_names) == 2:
+        second = arrays[anchor_names[1]]
+        if ((first >= 0) & (second >= 0) & (first >= second)).any():
+            raise CheckpointError(
+                f"{pass_name} resume state: anchor pairs must satisfy isn1 < isn2"
+            )
+
+
 class KernelBackend(abc.ABC):
     """Computational passes shared by every kernel backend.
 
@@ -309,11 +384,15 @@ class KernelBackend(abc.ABC):
         max_partner_checks: int,
         resume: Optional[dict] = None,
         on_round=None,
+        telemetry: Optional[Dict[str, int]] = None,
     ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], int, bool]:
         """Algorithms 3/4: 2↔k swap rounds; also returns the peak SC size.
 
         The final element is the oscillation-guard flag, and ``resume`` /
-        ``on_round`` behave as in :meth:`one_k_swap_pass`.
+        ``on_round`` behave as in :meth:`one_k_swap_pass`.  A backend that
+        schedules the pre-swap scan may add its per-pass counters
+        (``bulk_decided`` / ``replayed`` candidates) to ``telemetry``;
+        the reference leaves it untouched.
         """
 
     @abc.abstractmethod

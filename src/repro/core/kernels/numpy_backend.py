@@ -21,22 +21,27 @@ Every full-graph O(n)/O(E) sweep is an ndarray operation:
   ``np.bincount`` over the CSR edge slots, and the identity of a unique
   IS neighbour falls out of a weighted bincount (the sum of IS neighbour
   ids *is* the neighbour when the count is one);
-* the two-k-swap partner search joins candidates against a lexsorted
-  ``(anchor, member)`` ISN index instead of probing per-vertex dicts;
 * pointer counts, swap commits (P→IS, R→N) and set sizes are mask
   operations;
-* the 0↔1 post-swap scan keeps incremental ``count`` / ``sum`` / ``min``
-  / ``blocker`` arrays so each scanned vertex costs O(1), with a fancy
+* the one-k 0↔1 post-swap scan keeps incremental ``count`` / ``sum`` /
+  ``blocker`` arrays so each scanned vertex costs O(1), with a fancy
   neighbour update only when a vertex changes state class.  The batched
   execution rebuilds the entries of the current chunk's vertices from the
   live state instead — mathematically the same values, since the
   incremental updates exist precisely to keep the arrays consistent with
   the live state.
 
-Only the per-round swap-conflict resolution — which the paper defines
-through the scan order's right of preemption and is therefore inherently
-sequential — stays a scalar loop, and that loop runs over the (usually
-small) pre-filtered "A" candidate subset instead of all n vertices.
+The per-round swap-conflict resolution is defined through the scan
+order's right of preemption, so the one-k pre-swap scan stays a scalar
+loop over the pre-filtered "A" candidates.  Two-k-swap goes further
+(:mod:`repro.core.kernels.two_k_scan`): both of its round scans run on
+``scan_batches`` for in-memory and file sources alike, each batch's "A"
+candidates are classified against the batch-start state in bulk — the
+swap-candidate pairs from one ragged join of the lexsorted
+``(anchor, member)`` index — and a scalar event loop replays, in scan
+order, only the candidates an earlier promotion or conflict can reach.
+The post-swap scan is vectorized base labelling plus a sparse event
+loop over the 0↔1 insertions.
 
 Both executions produce results bit-identical to the ``python`` reference
 backend, including the per-round telemetry and the ``IOStats`` counters.
@@ -60,9 +65,15 @@ from repro.core.kernels.base import (
     encode_history,
     encode_rounds,
     register_backend,
+    validate_swap_resume,
+)
+from repro.core.kernels.ndarrays import (
+    int_bincount,
+    local_sources,
+    ragged_slots,
 )
 from repro.core.kernels.python_backend import normalize_updates as _scalar_normalize
-from repro.core.kernels.sc_store import SwapCandidateStore
+from repro.core.kernels.two_k_scan import TwoKRound, two_k_relabel
 from repro.core.result import RoundStats
 from repro.core.states import VertexState as S
 from repro.errors import GraphError, SolverError
@@ -82,12 +93,6 @@ _RET = int(S.RETROGRADE)
 #: skipped in bulk instead of paying one Python iteration each.
 _GREEDY_CHUNK = 8192
 
-#: Partner lists at most this long are filtered with the reference's
-#: scalar checks — ndarray ufuncs only pay off once the candidate list is
-#: long enough to amortise their per-call overhead.
-_JOIN_SCALAR_CUTOFF = 16
-
-
 def _fingerprint(*arrays) -> bytes:
     """Digest of the solver state used by the oscillation guard."""
 
@@ -95,259 +100,6 @@ def _fingerprint(*arrays) -> bytes:
     for array in arrays:
         digest.update(array.tobytes())
     return digest.digest()
-
-
-def _int_bincount(values, weights, minlength: int):
-    """Weighted bincount cast back to int64 (weights are small exact ints)."""
-
-    return np.bincount(values, weights=weights, minlength=minlength).astype(np.int64)
-
-
-def _record_min(values, local_offsets, sentinel: int):
-    """Per-record minimum of ``values`` segmented by ``local_offsets``.
-
-    ``values`` holds one entry per CSR slot of the batch; entries that
-    must not participate carry ``sentinel``.  Records with no slots
-    return garbage — callers mask them out via the slot counts.
-    """
-
-    extended = np.append(values, sentinel)
-    return np.minimum.reduceat(extended, local_offsets[:-1])
-
-
-def _local_sources(num_records: int, lens):
-    """Batch-local source index of every CSR slot (``bincount`` key)."""
-
-    return np.repeat(np.arange(num_records, dtype=np.int64), lens)
-
-
-class _TwoKRound:
-    """Per-round context of the two-k pre-swap scan.
-
-    Shared by the in-memory and block-batched executions.  The round
-    bookkeeping the reference builds with per-vertex dict appends — the
-    ``ISN`` membership lists and the single-anchor pointer counts — is
-    built here as one lexsorted ``(anchor, member)`` join, and the partner
-    search over ``members(w1) + members(w2)`` is filtered with vectorized
-    compares instead of per-partner Python checks.  The candidate
-    processing itself mirrors Algorithm 4 line for line.
-    """
-
-    __slots__ = (
-        "state",
-        "isn1",
-        "isn2",
-        "sc",
-        "source",
-        "max_partner_checks",
-        "protected",
-        "one_k_swaps",
-        "two_k_swaps",
-        "max_sc_vertices",
-        "mem_sorted",
-        "mem_starts",
-        "single_count",
-    )
-
-    def __init__(
-        self,
-        num_vertices: int,
-        state,
-        isn1,
-        isn2,
-        sc: SwapCandidateStore,
-        source,
-        max_partner_checks: int,
-    ) -> None:
-        self.state = state
-        self.isn1 = isn1
-        self.isn2 = isn2
-        self.sc = sc
-        self.source = source
-        self.max_partner_checks = max_partner_checks
-        self.protected: Set[int] = set()
-        self.one_k_swaps = 0
-        self.two_k_swaps = 0
-        self.max_sc_vertices = 0
-
-        # The membership join: every "A" vertex contributes the pairs
-        # (anchor, vertex) for its one or two IS anchors; sorting by
-        # (anchor, member) yields members(w) as one contiguous ascending
-        # slice per anchor — identical content and order to the
-        # reference's insertion-ordered dict-of-lists.
-        adj_idx = np.flatnonzero(state == _ADJ)
-        first_anchor = isn1[adj_idx]
-        second_anchor = isn2[adj_idx]
-        has_second = second_anchor >= 0
-        anchors = np.concatenate((first_anchor, second_anchor[has_second]))
-        members = np.concatenate((adj_idx, adj_idx[has_second]))
-        order = np.lexsort((members, anchors))
-        self.mem_sorted = members[order]
-        counts = np.bincount(anchors, minlength=num_vertices)
-        self.mem_starts = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.mem_starts[1:])
-        self.single_count = np.bincount(
-            isn1[adj_idx[~has_second]], minlength=num_vertices
-        ).astype(np.int64)
-
-    def processor(self):
-        """Build the per-candidate closure running Algorithm 4.
-
-        Everything hot is captured as a closure variable (not an attribute
-        lookup), matching the cost profile of a fully inlined loop; only
-        the rare counter updates go through ``self``.
-        """
-
-        ctx = self
-        state = self.state
-        isn1 = self.isn1
-        isn2 = self.isn2
-        sc = self.sc
-        source = self.source
-        max_partner_checks = self.max_partner_checks
-        protected = self.protected
-        single_count = self.single_count
-        mem_sorted = self.mem_sorted
-        mem_starts = self.mem_starts
-
-        def members(anchor: int):
-            return mem_sorted[mem_starts[anchor] : mem_starts[anchor + 1]]
-
-        def leaves_adjacent(vertex: int) -> None:
-            if isn2[vertex] < 0 and isn1[vertex] >= 0:
-                single_count[isn1[vertex]] -= 1
-
-        def verify_no_protected_neighbor(vertex: int) -> bool:
-            if not protected:
-                return True
-            neighborhood = source.neighbors(vertex)
-            return not any(u in protected for u in neighborhood)
-
-        def process(v: int, nbrs) -> None:
-            """Algorithm 4 for one scanned "A" candidate with neighbours ``nbrs``."""
-
-            w1 = int(isn1[v])
-            w2 = int(isn2[v])
-            nstate = state[nbrs]
-            neighbor_set = None
-
-            # Algorithm 4 line 1-2: record swap candidates via the join.
-            # Short partner lists are filtered with the reference's scalar
-            # checks, long ones with vectorized compares — identical
-            # outcomes, different constant factors.
-            if w2 >= 0 and state[w1] == _IS and state[w2] == _IS:
-                key = frozenset((w1, w2))
-                first_members = members(w1)
-                second_members = members(w2)
-                total = first_members.size + second_members.size
-                if 0 < total <= _JOIN_SCALAR_CUTOFF:
-                    neighbor_set = set(nbrs.tolist())
-                    checked = 0
-                    for partner in first_members.tolist() + second_members.tolist():
-                        if checked >= max_partner_checks:
-                            break
-                        checked += 1
-                        if partner == v or partner in neighbor_set:
-                            continue
-                        if state[partner] != _ADJ:
-                            continue
-                        p1 = isn1[partner]
-                        p2 = isn2[partner]
-                        if p1 != w1 and p1 != w2:
-                            continue
-                        if p2 >= 0 and p2 != w1 and p2 != w2:
-                            continue
-                        sc.add(key, (v, partner))
-                elif total:
-                    partners = np.concatenate((first_members, second_members))
-                    if partners.size > max_partner_checks:
-                        partners = partners[:max_partner_checks]
-                    keep = (partners != v) & (state[partners] == _ADJ)
-                    p1 = isn1[partners]
-                    p2 = isn2[partners]
-                    keep &= (p1 == w1) | (p1 == w2)
-                    keep &= (p2 < 0) | (p2 == w1) | (p2 == w2)
-                    if keep.any():
-                        keep &= ~np.isin(partners, nbrs)
-                        for partner in partners[keep].tolist():
-                            sc.add(key, (v, partner))
-                ctx.max_sc_vertices = max(ctx.max_sc_vertices, sc.peak_vertices)
-
-            # Algorithm 4 line 3-4: conflict with an earlier P vertex.
-            if (nstate == _PRO).any():
-                state[v] = _CON
-                leaves_adjacent(v)
-                return
-
-            # Algorithm 4 line 5-8: complete a 2-3 swap skeleton.
-            if w2 >= 0:
-                candidate_keys = [frozenset((w1, w2))]
-            else:
-                candidate_keys = list(sc.keys_for_anchor(w1))
-            promoted = False
-            for key in candidate_keys:
-                kl, kh = sorted(key)
-                if state[kl] != _IS or state[kh] != _IS:
-                    continue
-                for first_v, second_v in sc.pairs(key):
-                    if v in (first_v, second_v):
-                        continue
-                    if neighbor_set is None:
-                        neighbor_set = set(nbrs.tolist())
-                    if first_v in neighbor_set or second_v in neighbor_set:
-                        continue
-                    if state[first_v] != _ADJ or state[second_v] != _ADJ:
-                        continue
-                    # isn[first] == key, isn[second] <= key.
-                    if isn1[first_v] != kl or isn2[first_v] != kh:
-                        continue
-                    s1 = isn1[second_v]
-                    s2 = isn2[second_v]
-                    if s1 != kl and s1 != kh:
-                        continue
-                    if s2 >= 0 and s2 != kl and s2 != kh:
-                        continue
-                    if not (
-                        verify_no_protected_neighbor(first_v)
-                        and verify_no_protected_neighbor(second_v)
-                    ):
-                        continue
-                    for member in (v, first_v, second_v):
-                        state[member] = _PRO
-                        leaves_adjacent(member)
-                        protected.add(member)
-                    state[kl] = _RET
-                    state[kh] = _RET
-                    sc.free(key)
-                    ctx.two_k_swaps += 1
-                    promoted = True
-                    break
-                if promoted:
-                    break
-            if promoted:
-                return
-
-            # Algorithm 4 line 9-10: fall back to a 1-2 swap skeleton.
-            if w2 < 0:
-                if state[w1] == _IS:
-                    adjacent_partners = int(
-                        ((nstate == _ADJ) & (isn1[nbrs] == w1) & (isn2[nbrs] < 0)).sum()
-                    )
-                    if single_count[w1] - 1 - adjacent_partners > 0:
-                        state[v] = _PRO
-                        protected.add(v)
-                        state[w1] = _RET
-                        leaves_adjacent(v)
-                        ctx.one_k_swaps += 1
-                        return
-
-            # Algorithm 4 line 11-12: all IS neighbours already retrograde.
-            if state[w1] == _RET and (w2 < 0 or state[w2] == _RET):
-                state[v] = _PRO
-                protected.add(v)
-                leaves_adjacent(v)
-
-        return process
 
 
 class NumpyBackend(KernelBackend):
@@ -500,7 +252,7 @@ class NumpyBackend(KernelBackend):
                 is_slot = state[targets] == _IS
                 src_sel = edge_src[is_slot]
                 cnt = np.bincount(src_sel, minlength=n)
-                nbr_sum = _int_bincount(src_sel, targets[is_slot], n)
+                nbr_sum = int_bincount(src_sel, targets[is_slot], n)
                 a_mask = (state != _IS) & (cnt == 1)
                 state[a_mask] = _ADJ
                 isn[a_mask] = nbr_sum[a_mask]
@@ -509,11 +261,11 @@ class NumpyBackend(KernelBackend):
                 # Same labelling, one block-batched chunk at a time.
                 for verts, local_offsets, tgts in source.scan_batches():
                     lens = local_offsets[1:] - local_offsets[:-1]
-                    local_src = _local_sources(verts.size, lens)
+                    local_src = local_sources(verts.size, lens)
                     is_slot = state[tgts] == _IS
                     src_sel = local_src[is_slot]
                     cnt = np.bincount(src_sel, minlength=verts.size)
-                    nbr_sum = _int_bincount(src_sel, tgts[is_slot], verts.size)
+                    nbr_sum = int_bincount(src_sel, tgts[is_slot], verts.size)
                     a_mask = (state[verts] != _IS) & (cnt == 1)
                     adjacent = verts[a_mask]
                     state[adjacent] = _ADJ
@@ -528,6 +280,7 @@ class NumpyBackend(KernelBackend):
         else:
             # Restore the loop exactly where an ``on_round`` snapshot was
             # taken; the labelling scan already happened before it.
+            validate_swap_resume(resume, "one_k_swap", n)
             state = np.asarray(resume["state"], dtype=np.uint8)
             isn = np.asarray(resume["isn"], dtype=np.int64)
             rounds = decode_rounds(resume["rounds"])
@@ -608,7 +361,7 @@ class NumpyBackend(KernelBackend):
                 is_slot = state[targets] == _IS
                 src_sel = edge_src[is_slot]
                 cnt = np.bincount(src_sel, minlength=n).astype(np.int64)
-                nbr_sum = _int_bincount(src_sel, targets[is_slot], n)
+                nbr_sum = int_bincount(src_sel, targets[is_slot], n)
                 blocker_slot = is_slot | (state[targets] == _ADJ)
                 blocker = np.bincount(edge_src[blocker_slot], minlength=n).astype(
                     np.int64
@@ -641,11 +394,11 @@ class NumpyBackend(KernelBackend):
                 blocker = np.zeros(n, dtype=np.int64)
                 for verts, local_offsets, tgts in source.scan_batches():
                     lens = local_offsets[1:] - local_offsets[:-1]
-                    local_src = _local_sources(verts.size, lens)
+                    local_src = local_sources(verts.size, lens)
                     is_slot = state[tgts] == _IS
                     src_sel = local_src[is_slot]
                     cnt[verts] = np.bincount(src_sel, minlength=verts.size)
-                    nbr_sum[verts] = _int_bincount(src_sel, tgts[is_slot], verts.size)
+                    nbr_sum[verts] = int_bincount(src_sel, tgts[is_slot], verts.size)
                     blocker[verts] = np.bincount(
                         local_src[is_slot | (state[tgts] == _ADJ)],
                         minlength=verts.size,
@@ -763,15 +516,12 @@ class NumpyBackend(KernelBackend):
         max_partner_checks: int,
         resume: Optional[dict] = None,
         on_round=None,
+        telemetry: Optional[Dict[str, int]] = None,
     ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], int, bool]:
-        in_memory = isinstance(source, InMemoryAdjacencyScan)
+        # Both executions share one batched body: an in-memory source
+        # serves its CSR through the same ``scan_batches`` interface.
         n = source.num_vertices
-
-        if in_memory:
-            graph = source.graph
-            offsets, targets = graph.csr_arrays()
-            edge_src = graph.edge_sources_array()
-            order = source.order_array()
+        local_index = np.full(n, -1, dtype=np.int64)
 
         if resume is None:
             state = np.full(n, _NON, dtype=np.uint8)
@@ -782,45 +532,11 @@ class NumpyBackend(KernelBackend):
             # ISN as a sorted pair per vertex (-1 = absent): isn1 < isn2.
             isn1 = np.full(n, -1, dtype=np.int64)
             isn2 = np.full(n, -1, dtype=np.int64)
-
-            if in_memory:
-                # Lines 1-3 (vectorized): per-vertex IS-neighbour count via
-                # bincount; the one-or-two neighbour ids are read off the
-                # sorted IS slot list with a searchsorted first-occurrence
-                # index.
-                is_slot = state[targets] == _IS
-                src_sel = edge_src[is_slot]
-                tgt_sel = targets[is_slot]
-                cnt = np.bincount(src_sel, minlength=n)
-                first = np.searchsorted(
-                    src_sel, np.arange(n, dtype=np.int64), side="left"
+            # Lines 1-3: the post-swap labelling without 0-1 swaps.
+            for verts, local_offsets, tgts in source.scan_batches():
+                two_k_relabel(
+                    state, isn1, isn2, verts, local_offsets, tgts, local_index, False
                 )
-                a_mask = (state != _IS) & (cnt >= 1) & (cnt <= 2)
-                state[a_mask] = _ADJ
-                isn1[a_mask] = tgt_sel[first[a_mask]]
-                two_mask = a_mask & (cnt == 2)
-                isn2[two_mask] = tgt_sel[first[two_mask] + 1]
-                source.stats.record_scan()
-            else:
-                # Same labelling per batch; with neighbour lists in arbitrary
-                # record order the smaller id comes from a per-record minimum,
-                # the larger from the id sum.
-                for verts, local_offsets, tgts in source.scan_batches():
-                    lens = local_offsets[1:] - local_offsets[:-1]
-                    local_src = _local_sources(verts.size, lens)
-                    is_slot = state[tgts] == _IS
-                    src_sel = local_src[is_slot]
-                    cnt = np.bincount(src_sel, minlength=verts.size)
-                    nbr_sum = _int_bincount(src_sel, tgts[is_slot], verts.size)
-                    nbr_min = _record_min(np.where(is_slot, tgts, n), local_offsets, n)
-                    a_mask = (state[verts] != _IS) & (cnt >= 1) & (cnt <= 2)
-                    state[verts[a_mask]] = _ADJ
-                    one_mask = a_mask & (cnt == 1)
-                    isn1[verts[one_mask]] = nbr_sum[one_mask]
-                    two_mask = a_mask & (cnt == 2)
-                    low = nbr_min[two_mask]
-                    isn1[verts[two_mask]] = low
-                    isn2[verts[two_mask]] = nbr_sum[two_mask] - low
 
             rounds: List[RoundStats] = []
             initial_size = len(initial_set)
@@ -830,6 +546,7 @@ class NumpyBackend(KernelBackend):
             oscillation = False
             history = {_fingerprint(state, isn1, isn2)} if max_rounds is None else None
         else:
+            validate_swap_resume(resume, "two_k_swap", n)
             state = np.asarray(resume["state"], dtype=np.uint8)
             isn1 = np.asarray(resume["isn1"], dtype=np.int64)
             isn2 = np.asarray(resume["isn2"], dtype=np.int64)
@@ -856,46 +573,25 @@ class NumpyBackend(KernelBackend):
                 "history": encode_history(history),
             }
 
+        bulk_decided = 0
+        replayed = 0
         while (
             not oscillation
             and can_swap
             and (max_rounds is None or len(rounds) < max_rounds)
         ):
-            can_swap = False
-            zero_one_swaps = 0
-
-            sc = SwapCandidateStore(max_pairs_per_key=max_pairs_per_key)
-            round_ctx = _TwoKRound(
-                n, state, isn1, isn2, sc, source, max_partner_checks
+            # Pre-swap scan (Algorithm 4): bulk classification plus the
+            # scan-order event loop, one batch at a time.
+            scan = TwoKRound(
+                state, isn1, isn2, source, max_pairs_per_key, max_partner_checks,
+                local_index,
             )
-            process = round_ctx.processor()
-
-            # ----------------------------------------------------------
-            # Pre-swap scan (Algorithm 4).  Scalar over the "A" candidate
-            # subset: skeleton promotions can flip later candidates to P,
-            # hence the state re-check per vertex.
-            # ----------------------------------------------------------
-            if in_memory:
-                for v in order[state[order] == _ADJ].tolist():
-                    if state[v] != _ADJ:
-                        continue
-                    process(v, targets[offsets[v] : offsets[v + 1]])
-                source.stats.record_scan()
-            else:
-                for verts, local_offsets, tgts in source.scan_batches():
-                    vertex_list = verts.tolist()
-                    offset_list = local_offsets.tolist()
-                    for i in np.flatnonzero(state[verts] == _ADJ).tolist():
-                        v = vertex_list[i]
-                        if state[v] != _ADJ:
-                            continue
-                        process(v, tgts[offset_list[i] : offset_list[i + 1]])
-
-            one_k_swaps = round_ctx.one_k_swaps
-            two_k_swaps = round_ctx.two_k_swaps
-            max_sc_vertices = max(
-                max_sc_vertices, round_ctx.max_sc_vertices, sc.peak_vertices
-            )
+            for verts, local_offsets, tgts in source.scan_batches():
+                scan.scan_batch(verts, local_offsets, tgts)
+            bulk_decided += scan.bulk_decided
+            replayed += scan.replayed
+            sc_vertices = scan.sc.peak_vertices
+            max_sc_vertices = max(max_sc_vertices, sc_vertices)
 
             # Swap phase (Algorithm 3 lines 10-14), fully vectorized.
             retro = state == _RET
@@ -903,123 +599,23 @@ class NumpyBackend(KernelBackend):
             state[retro] = _NON
             can_swap = bool(retro.any())
 
-            # ----------------------------------------------------------
-            # Post-swap scan (Algorithm 3 lines 15-23): incremental
-            # count / sum / min arrays give the one-or-two IS neighbour
-            # identities in O(1) per scanned vertex.
-            # ----------------------------------------------------------
-            if in_memory:
-                is_slot = state[targets] == _IS
-                src_sel = edge_src[is_slot]
-                tgt_sel = targets[is_slot]
-                cnt = np.bincount(src_sel, minlength=n).astype(np.int64)
-                nbr_sum = _int_bincount(src_sel, tgt_sel, n)
-                first = np.searchsorted(
-                    src_sel, np.arange(n, dtype=np.int64), side="left"
+            # Post-swap scan (Algorithm 3 lines 15-23).
+            zero_one_swaps = 0
+            for verts, local_offsets, tgts in source.scan_batches():
+                zero_one_swaps += two_k_relabel(
+                    state, isn1, isn2, verts, local_offsets, tgts, local_index, True
                 )
-                nbr_min = np.full(n, n, dtype=np.int64)  # n acts as +infinity
-                has_is = cnt >= 1
-                nbr_min[has_is] = tgt_sel[first[has_is]]
-                blocker_slot = is_slot | (state[targets] == _ADJ)
-                blocker = np.bincount(edge_src[blocker_slot], minlength=n).astype(
-                    np.int64
-                )
-
-                for v in order[state[order] != _IS].tolist():
-                    old = state[v]
-                    c = cnt[v]
-                    if 1 <= c <= 2:
-                        state[v] = _ADJ
-                        if c == 1:
-                            isn1[v] = nbr_sum[v]
-                            isn2[v] = -1
-                        else:
-                            low = nbr_min[v]
-                            isn1[v] = low
-                            isn2[v] = nbr_sum[v] - low
-                        if old != _ADJ:
-                            blocker[targets[offsets[v] : offsets[v + 1]]] += 1
-                    else:
-                        state[v] = _NON
-                        isn1[v] = -1
-                        isn2[v] = -1
-                        if old == _ADJ:
-                            blocker[targets[offsets[v] : offsets[v + 1]]] -= 1
-                        if blocker[v] == 0:
-                            # 0-1 swap: no neighbour is IS or A.
-                            state[v] = _IS
-                            zero_one_swaps += 1
-                            nbrs = targets[offsets[v] : offsets[v + 1]]
-                            cnt[nbrs] += 1
-                            nbr_sum[nbrs] += v
-                            nbr_min[nbrs] = np.minimum(nbr_min[nbrs], v)
-                            blocker[nbrs] += 1
-                source.stats.record_scan()
-            else:
-                cnt = np.zeros(n, dtype=np.int64)
-                nbr_sum = np.zeros(n, dtype=np.int64)
-                nbr_min = np.full(n, n, dtype=np.int64)
-                blocker = np.zeros(n, dtype=np.int64)
-                for verts, local_offsets, tgts in source.scan_batches():
-                    lens = local_offsets[1:] - local_offsets[:-1]
-                    local_src = _local_sources(verts.size, lens)
-                    is_slot = state[tgts] == _IS
-                    src_sel = local_src[is_slot]
-                    local_cnt = np.bincount(src_sel, minlength=verts.size)
-                    cnt[verts] = local_cnt
-                    nbr_sum[verts] = _int_bincount(src_sel, tgts[is_slot], verts.size)
-                    local_min = _record_min(np.where(is_slot, tgts, n), local_offsets, n)
-                    nbr_min[verts] = n
-                    has_is = local_cnt >= 1
-                    nbr_min[verts[has_is]] = local_min[has_is]
-                    blocker[verts] = np.bincount(
-                        local_src[is_slot | (state[tgts] == _ADJ)],
-                        minlength=verts.size,
-                    )
-                    vertex_list = verts.tolist()
-                    offset_list = local_offsets.tolist()
-                    # Mirror of the in-memory post-swap body above, with
-                    # neighbour slices taken from the batch fragment.
-                    for i in np.flatnonzero(state[verts] != _IS).tolist():
-                        v = vertex_list[i]
-                        old = state[v]
-                        c = cnt[v]
-                        if 1 <= c <= 2:
-                            state[v] = _ADJ
-                            if c == 1:
-                                isn1[v] = nbr_sum[v]
-                                isn2[v] = -1
-                            else:
-                                low = nbr_min[v]
-                                isn1[v] = low
-                                isn2[v] = nbr_sum[v] - low
-                            if old != _ADJ:
-                                blocker[tgts[offset_list[i] : offset_list[i + 1]]] += 1
-                        else:
-                            state[v] = _NON
-                            isn1[v] = -1
-                            isn2[v] = -1
-                            if old == _ADJ:
-                                blocker[tgts[offset_list[i] : offset_list[i + 1]]] -= 1
-                            if blocker[v] == 0:
-                                state[v] = _IS
-                                zero_one_swaps += 1
-                                nbrs = tgts[offset_list[i] : offset_list[i + 1]]
-                                cnt[nbrs] += 1
-                                nbr_sum[nbrs] += v
-                                nbr_min[nbrs] = np.minimum(nbr_min[nbrs], v)
-                                blocker[nbrs] += 1
 
             new_size = int((state == _IS).sum())
             rounds.append(
                 RoundStats(
                     round_index=len(rounds) + 1,
                     gained=new_size - current_size,
-                    one_k_swaps=one_k_swaps,
-                    two_k_swaps=two_k_swaps,
+                    one_k_swaps=scan.one_k_swaps,
+                    two_k_swaps=scan.two_k_swaps,
                     zero_one_swaps=zero_one_swaps,
                     is_size_after=new_size,
-                    sc_vertices=sc.peak_vertices,
+                    sc_vertices=sc_vertices,
                 )
             )
             current_size = new_size
@@ -1032,6 +628,10 @@ class NumpyBackend(KernelBackend):
                     history.add(fingerprint)
             if on_round is not None:
                 on_round(_snapshot())
+
+        if telemetry is not None:
+            telemetry["bulk_decided"] = bulk_decided
+            telemetry["replayed"] = replayed
 
         completion_gain = self._completion_pass(source, state)
         if completion_gain and rounds:
@@ -1056,39 +656,19 @@ class NumpyBackend(KernelBackend):
     def _completion_pass(source, state) -> int:
         """Insert every vertex with no IS neighbour, in scan order.
 
-        The IS-neighbour counts start from one vectorized bincount; a
-        vertex whose count is positive can never become insertable (the
-        set only grows), so the scalar pass touches only the zero-count
-        candidates and bumps its neighbours' counts on each insertion.
+        Each batch's IS-neighbour counts start from one vectorized
+        bincount; a vertex whose count is positive can never become
+        insertable (the set only grows), so the scalar pass touches only
+        the zero-count candidates and bumps its neighbours' counts on each
+        insertion.  In-memory sources run the same batched body.
         """
-
-        if isinstance(source, InMemoryAdjacencyScan):
-            graph = source.graph
-            offsets, targets = graph.csr_arrays()
-            edge_src = graph.edge_sources_array()
-            order = source.order_array()
-            n = graph.num_vertices
-
-            cnt = np.bincount(edge_src[state[targets] == _IS], minlength=n).astype(
-                np.int64
-            )
-            completion_gain = 0
-            order_state = state[order]
-            for v in order[(order_state != _IS) & (cnt[order] == 0)].tolist():
-                if cnt[v] != 0:
-                    continue
-                state[v] = _IS
-                cnt[targets[offsets[v] : offsets[v + 1]]] += 1
-                completion_gain += 1
-            source.stats.record_scan()
-            return completion_gain
 
         n = source.num_vertices
         cnt = np.zeros(n, dtype=np.int64)
         completion_gain = 0
         for verts, local_offsets, tgts in source.scan_batches():
             lens = local_offsets[1:] - local_offsets[:-1]
-            local_src = _local_sources(verts.size, lens)
+            local_src = local_sources(verts.size, lens)
             cnt[verts] = np.bincount(
                 local_src[state[tgts] == _IS], minlength=verts.size
             )
@@ -1130,7 +710,7 @@ class NumpyBackend(KernelBackend):
         sel_slot = selected[targets]
         src_sel = edge_src[sel_slot]
         tight = np.bincount(src_sel, minlength=n).astype(np.int64)
-        isn_sum = _int_bincount(src_sel, targets[sel_slot], n)
+        isn_sum = int_bincount(src_sel, targets[sel_slot], n)
 
         def _select(vertex: int) -> None:
             selected[vertex] = True
@@ -1271,7 +851,7 @@ class NumpyBackend(KernelBackend):
                 m = batch.size
                 index = np.arange(m, dtype=np.int64)
                 lens = base_degree[batch]
-                slots = _ragged_slot_indices(offsets[batch], lens)
+                slots = ragged_slots(offsets[batch], lens)
                 owner = np.repeat(index, lens)
                 neighbor = targets[slots]
                 live_mask = alive[neighbor]
@@ -1317,7 +897,7 @@ class NumpyBackend(KernelBackend):
                     alive[removed] = False
                     remaining -= int(removed.size)
                     second = targets[
-                        _ragged_slot_indices(offsets[removed], base_degree[removed])
+                        ragged_slots(offsets[removed], base_degree[removed])
                     ]
                     second = second[alive[second]]
                     if second.size:
@@ -2096,7 +1676,7 @@ def _gather_adjacency(m, verts):
         vb = np.where(in_base, verts, 0)
         starts = np.where(in_base, offsets[vb], 0)
         lens = np.where(in_base, offsets[vb + 1] - offsets[vb], 0)
-        values = targets[_ragged_slot_indices(starts, lens)]
+        values = targets[ragged_slots(starts, lens)]
     else:
         lens = np.zeros(verts.size, dtype=np.int64)
         values = np.empty(0, dtype=np.int64)
@@ -2139,7 +1719,7 @@ def _patch_dirty_segments(m, verts, values, lens, dirty):
     if rem_keys:
         ends = np.cumsum(lens)
         d_lens = lens[dirty]
-        slot_idx = _ragged_slot_indices(ends[dirty] - d_lens, d_lens)
+        slot_idx = ragged_slots(ends[dirty] - d_lens, d_lens)
         # Segment values are ascending and owners non-decreasing, so the
         # packed (owner, neighbour) keys are globally sorted; every
         # removed overlay entry is a live base edge, so each search hits.
@@ -2155,7 +1735,7 @@ def _patch_dirty_segments(m, verts, values, lens, dirty):
     if add_vals:
         new_lens[dirty] += add_counts
         new_ends = np.cumsum(new_lens)
-        add_idx = _ragged_slot_indices(
+        add_idx = ragged_slots(
             new_ends[dirty] - add_counts, add_counts
         )
         out = np.empty(values.size + len(add_vals), dtype=np.int64)
@@ -2165,19 +1745,6 @@ def _patch_dirty_segments(m, verts, values, lens, dirty):
         out[~add_slot] = values
         values = out
     return values, new_lens
-
-
-def _ragged_slot_indices(starts, lens):
-    """CSR slot indices of the concatenated slices ``[s_k, s_k + l_k)``."""
-
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    reps = np.repeat(np.arange(starts.size, dtype=np.int64), lens)
-    local = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    return starts[reps] + local
 
 
 def _scalar_round(batch, cursor, degree, alive, offsets, targets,

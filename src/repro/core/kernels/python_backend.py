@@ -30,6 +30,7 @@ from repro.core.kernels.base import (
     encode_history,
     encode_rounds,
     register_backend,
+    validate_swap_resume,
 )
 from repro.core.kernels.sc_store import SwapCandidateStore
 from repro.core.result import RoundStats
@@ -164,6 +165,7 @@ class PythonBackend(KernelBackend):
             # Restore the loop exactly where an ``on_round`` snapshot was
             # taken: the labelling scan already happened before the
             # snapshot, so the loop continues without re-reading the file.
+            validate_swap_resume(resume, "one_k_swap", num_vertices)
             state = [S(value) for value in resume["state"]]
             isn = [None if value < 0 else value for value in resume["isn"]]
             rounds = decode_rounds(resume["rounds"])
@@ -332,6 +334,7 @@ class PythonBackend(KernelBackend):
         max_partner_checks: int,
         resume: Optional[dict] = None,
         on_round=None,
+        telemetry: Optional[Dict[str, int]] = None,
     ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], int, bool]:
         num_vertices = source.num_vertices
 
@@ -369,6 +372,7 @@ class PythonBackend(KernelBackend):
             # Restore an ``on_round`` snapshot (see one_k_swap_pass); the
             # one-or-two ISN anchors travel as two parallel int lists with
             # -1 marking an absent entry.
+            validate_swap_resume(resume, "two_k_swap", num_vertices)
             state = [S(value) for value in resume["state"]]
             isn = [
                 None

@@ -44,6 +44,16 @@ class SwapCandidateStore:
 
         return tuple(self._keys_by_anchor.get(anchor, ()))
 
+    def keyed_anchors(self) -> List[int]:
+        """IS vertices that belong to at least one stored key."""
+
+        return [anchor for anchor, keys in self._keys_by_anchor.items() if keys]
+
+    def live_keys(self) -> List[_PairKey]:
+        """Keys that currently hold at least one pair."""
+
+        return [key for key, bucket in self._pairs.items() if bucket]
+
     def pairs(self, key: _PairKey) -> Tuple[_Pair, ...]:
         """The candidate pairs currently stored under ``key``."""
 

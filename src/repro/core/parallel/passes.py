@@ -1,7 +1,7 @@
 """Parallel kernel passes: sharded round bodies, bit-identical results.
 
 :class:`ParallelKernel` wraps a serial backend (numpy or python) and
-re-executes its greedy / one-k-swap / two-k-swap passes with the O(E)
+re-executes its greedy and one-k-swap passes with the O(E)
 work sharded across a :class:`~repro.core.parallel.pool.ParallelPool` of
 forked processes over the shared record-major CSR.  The contract is
 *bit-identity* with the wrapped backend: same independent sets, same
@@ -35,10 +35,9 @@ approximated:
   all earlier neighbours are excluded, is excluded once an earlier
   neighbour enters.  Decisions are monotone, so the workers' stale reads
   are harmless and the unique fixpoint is the scan-order greedy set;
-* the two-k pre/post scans keep the serial scalar loops in the parent
-  (their promotions have long-range interactions through the swap
-  candidate store), but all O(E) bincount sweeps feeding them are
-  sharded.
+* two-k-swap is not sharded: the pass runs the wrapped backend
+  unchanged (the numpy backend's event-driven scans already do scalar
+  work only where a promotion reaches).
 
 Fingerprints and snapshot history entries are encoded per delegate
 backend (the numpy and python backends hash different canonical
@@ -62,14 +61,13 @@ from repro.core.kernels.base import (
     decode_rounds,
     encode_history,
     encode_rounds,
+    validate_swap_resume,
 )
-from repro.core.kernels.numpy_backend import _TwoKRound
-from repro.core.kernels.sc_store import SwapCandidateStore
 from repro.core.parallel.csr import SharedCSR, materialize_csr, plan_text_stripes
-from repro.core.parallel.pool import ParallelPool, _ragged_slots
+from repro.core.kernels.ndarrays import ragged_slots
+from repro.core.parallel.pool import ParallelPool
 from repro.core.result import RoundStats
 from repro.core.states import VertexState as S
-from repro.errors import SolverError
 from repro.storage import format as fmt
 from repro.storage.adjacency_file import AdjacencyFileReader
 from repro.storage.scan import batch_bounds
@@ -102,7 +100,7 @@ def _scatter_neighbors(csr, recs, values=None):
 
     indptr = csr.indptr
     lens = indptr[recs + 1] - indptr[recs]
-    nbrs = csr.indices[_ragged_slots(indptr[recs], lens)]
+    nbrs = csr.indices[ragged_slots(indptr[recs], lens)]
     if values is None:
         return np.bincount(nbrs, minlength=csr.num_vertices).astype(
             np.int64, copy=False
@@ -125,7 +123,7 @@ def _scatter_cnt_sum(csr, recs, values):
 
     indptr = csr.indptr
     lens = indptr[recs + 1] - indptr[recs]
-    nbrs = csr.indices[_ragged_slots(indptr[recs], lens)]
+    nbrs = csr.indices[ragged_slots(indptr[recs], lens)]
     cnt_inc = np.bincount(nbrs, minlength=csr.num_vertices).astype(
         np.int64, copy=False
     )
@@ -151,20 +149,6 @@ def _fingerprint_one_k(backend_name: str, state, isn) -> bytes:
         isn_repr = repr([None if x < 0 else x for x in isn.tolist()])
         return _blake2b16(state.tobytes(), isn_repr.encode())
     return _blake2b16(state.tobytes(), isn.tobytes())
-
-
-def _fingerprint_two_k(backend_name: str, state, isn1, isn2) -> bytes:
-    if backend_name == "python":
-        pairs: List[Optional[tuple]] = []
-        for a, b in zip(isn1.tolist(), isn2.tolist()):
-            if a < 0:
-                pairs.append(None)
-            elif b < 0:
-                pairs.append((a,))
-            else:
-                pairs.append((a, b))
-        return _blake2b16(state.tobytes(), repr(pairs).encode())
-    return _blake2b16(state.tobytes(), isn1.tobytes(), isn2.tobytes())
 
 
 class _Session:
@@ -260,7 +244,7 @@ class _Session:
 
 
 #: Sessions kept warm between passes, keyed by ``(id(source), workers)``.
-#: A pipeline (greedy → one-k → two-k) over one source then materialises
+#: A pipeline (greedy → one-k) over one source then materialises
 #: the shared CSR and forks the worker pool once instead of per pass.  The
 #: cached session pins the source object, so an ``id`` is never recycled
 #: while its entry is live; entries are closed on eviction (LRU), when a
@@ -344,6 +328,11 @@ class ParallelKernel(KernelBackend):
         # sharded passes add nothing, so it rides the delegate unchanged.
         return self._delegate.dynamic_apply_pass(*args, **kwargs)
 
+    def two_k_swap_pass(self, *args, **kwargs):
+        # The serial event-driven two-k scans beat a sharded rerun of the
+        # scalar loop, so the pass rides the delegate unchanged.
+        return self._delegate.two_k_swap_pass(*args, **kwargs)
+
     # ------------------------------------------------------------------
     # Algorithm 1: greedy (wave-iterated fixpoint)
     # ------------------------------------------------------------------
@@ -420,6 +409,7 @@ class ParallelKernel(KernelBackend):
                 else None
             )
         else:
+            validate_swap_resume(resume, "one_k_swap", n)
             state[:] = np.asarray(resume["state"], dtype=np.uint8)
             isn = np.asarray(resume["isn"], dtype=np.int64)
             rounds = decode_rounds(resume["rounds"])
@@ -604,7 +594,7 @@ class ParallelKernel(KernelBackend):
         # One ragged gather of every candidate's neighbour list for the
         # whole round.
         lens_all = indptr[cand_rec + 1] - indptr[cand_rec]
-        nbrs_all = indices[_ragged_slots(indptr[cand_rec], lens_all)]
+        nbrs_all = indices[ragged_slots(indptr[cand_rec], lens_all)]
         src_all = np.repeat(np.arange(total, dtype=np.int64), lens_all)
 
         # Candidate index of every neighbour (-1 = not a candidate),
@@ -780,7 +770,7 @@ class ParallelKernel(KernelBackend):
         blocker0 = {}
         if seed_rec.size:
             seed_lens = indptr[seed_rec + 1] - indptr[seed_rec]
-            seed_nbrs = indices[_ragged_slots(indptr[seed_rec], seed_lens)]
+            seed_nbrs = indices[ragged_slots(indptr[seed_rec], seed_lens)]
             earlier = pos[seed_nbrs] < np.repeat(seed_rec, seed_lens)
             seed_src = np.repeat(
                 np.arange(seed_rec.size, dtype=np.int64), seed_lens
@@ -861,230 +851,6 @@ class ParallelKernel(KernelBackend):
         return len(inserted_recs)
 
     # ------------------------------------------------------------------
-    # Algorithms 3 & 4: two-k-swap
-    # ------------------------------------------------------------------
-    def two_k_swap_pass(
-        self,
-        source,
-        initial_set: FrozenSet[int],
-        max_rounds: Optional[int],
-        max_pairs_per_key: int,
-        max_partner_checks: int,
-        resume: Optional[dict] = None,
-        on_round=None,
-    ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], int, bool]:
-        session = _acquire_session(source, self.workers)
-        try:
-            result = self._two_k(
-                session,
-                initial_set,
-                max_rounds,
-                max_pairs_per_key,
-                max_partner_checks,
-                resume,
-                on_round,
-            )
-            session.pool.fold_metrics()
-            return result
-        except BaseException:
-            _evict_session(session)
-            raise
-
-    def _two_k(
-        self,
-        session,
-        initial_set,
-        max_rounds,
-        max_pairs_per_key,
-        max_partner_checks,
-        resume,
-        on_round,
-    ):
-        source = session.source
-        csr = session.csr
-        pool = session.pool
-        n = csr.num_vertices
-        state = pool.state
-        order = csr.order
-        indptr = csr.indptr
-        indices = csr.indices
-        order_list = order.tolist()
-        indptr_list = indptr.tolist()
-
-        if resume is None:
-            state[:] = _NON
-            if initial_set:
-                state[
-                    np.fromiter(initial_set, dtype=np.int64, count=len(initial_set))
-                ] = _IS
-            isn1 = np.full(n, -1, dtype=np.int64)
-            isn2 = np.full(n, -1, dtype=np.int64)
-
-            pool.broadcast("label2")
-            cnt = pool.cnt
-            a_mask = (state != _IS) & (cnt >= 1) & (cnt <= 2)
-            state[a_mask] = _ADJ
-            one_mask = a_mask & (cnt == 1)
-            isn1[one_mask] = pool.nbr_sum[one_mask]
-            two_mask = a_mask & (cnt == 2)
-            low = pool.nbr_min[two_mask]
-            isn1[two_mask] = low
-            isn2[two_mask] = pool.nbr_sum[two_mask] - low
-            session.charge_scan()
-
-            rounds: List[RoundStats] = []
-            initial_size = len(initial_set)
-            current_size = initial_size
-            can_swap = True
-            max_sc_vertices = 0
-            oscillation = False
-            history = (
-                {_fingerprint_two_k(self.name, state, isn1, isn2)}
-                if max_rounds is None
-                else None
-            )
-        else:
-            state[:] = np.asarray(resume["state"], dtype=np.uint8)
-            isn1 = np.asarray(resume["isn1"], dtype=np.int64)
-            isn2 = np.asarray(resume["isn2"], dtype=np.int64)
-            rounds = decode_rounds(resume["rounds"])
-            initial_size = int(resume["initial_size"])
-            current_size = int(resume["current_size"])
-            can_swap = bool(resume["can_swap"])
-            max_sc_vertices = int(resume["max_sc_vertices"])
-            oscillation = bool(resume["oscillation"])
-            history = decode_history(resume["history"])
-
-        def _snapshot() -> dict:
-            return {
-                "pass": "two_k_swap",
-                "initial_size": initial_size,
-                "state": state.tolist(),
-                "isn1": isn1.tolist(),
-                "isn2": isn2.tolist(),
-                "rounds": encode_rounds(rounds),
-                "current_size": current_size,
-                "can_swap": can_swap,
-                "max_sc_vertices": max_sc_vertices,
-                "oscillation": oscillation,
-                "history": encode_history(history),
-            }
-
-        while (
-            not oscillation
-            and can_swap
-            and (max_rounds is None or len(rounds) < max_rounds)
-        ):
-            can_swap = False
-            zero_one_swaps = 0
-
-            sc = SwapCandidateStore(max_pairs_per_key=max_pairs_per_key)
-            round_ctx = _TwoKRound(
-                n, state, isn1, isn2, sc, source, max_partner_checks
-            )
-            process = round_ctx.processor()
-
-            # Pre-swap scan: scalar in the parent (skeleton promotions
-            # interact through the candidate store), neighbour slices from
-            # the shared CSR, verification lookups through the original
-            # (charged) source.
-            for i in np.flatnonzero(state[order] == _ADJ).tolist():
-                v = order_list[i]
-                if state[v] != _ADJ:
-                    continue
-                process(v, indices[indptr_list[i] : indptr_list[i + 1]])
-            session.charge_scan()
-
-            one_k_swaps = round_ctx.one_k_swaps
-            two_k_swaps = round_ctx.two_k_swaps
-            max_sc_vertices = max(
-                max_sc_vertices, round_ctx.max_sc_vertices, sc.peak_vertices
-            )
-
-            retro = state == _RET
-            state[state == _PRO] = _IS
-            state[retro] = _NON
-            can_swap = bool(retro.any())
-
-            # Post-swap scan: sharded base count/sum/min/blocker sweeps,
-            # then the serial scalar update loop over the shared arrays.
-            pool.broadcast("post2")
-            cnt = pool.cnt
-            nbr_sum = pool.nbr_sum
-            nbr_min = pool.nbr_min
-            blocker = pool.blocker
-            for i in np.flatnonzero(state[order] != _IS).tolist():
-                v = order_list[i]
-                old = state[v]
-                c = cnt[v]
-                if 1 <= c <= 2:
-                    state[v] = _ADJ
-                    if c == 1:
-                        isn1[v] = nbr_sum[v]
-                        isn2[v] = -1
-                    else:
-                        low = nbr_min[v]
-                        isn1[v] = low
-                        isn2[v] = nbr_sum[v] - low
-                    if old != _ADJ:
-                        blocker[indices[indptr_list[i] : indptr_list[i + 1]]] += 1
-                else:
-                    state[v] = _NON
-                    isn1[v] = -1
-                    isn2[v] = -1
-                    if old == _ADJ:
-                        blocker[indices[indptr_list[i] : indptr_list[i + 1]]] -= 1
-                    if blocker[v] == 0:
-                        # 0-1 swap: no neighbour is IS or A.
-                        state[v] = _IS
-                        zero_one_swaps += 1
-                        nbrs = indices[indptr_list[i] : indptr_list[i + 1]]
-                        cnt[nbrs] += 1
-                        nbr_sum[nbrs] += v
-                        nbr_min[nbrs] = np.minimum(nbr_min[nbrs], v)
-                        blocker[nbrs] += 1
-            session.charge_scan()
-
-            new_size = int((state == _IS).sum())
-            rounds.append(
-                RoundStats(
-                    round_index=len(rounds) + 1,
-                    gained=new_size - current_size,
-                    one_k_swaps=one_k_swaps,
-                    two_k_swaps=two_k_swaps,
-                    zero_one_swaps=zero_one_swaps,
-                    is_size_after=new_size,
-                    sc_vertices=sc.peak_vertices,
-                )
-            )
-            current_size = new_size
-
-            if history is not None and can_swap:
-                fingerprint = _fingerprint_two_k(self.name, state, isn1, isn2)
-                if fingerprint in history:
-                    oscillation = True
-                else:
-                    history.add(fingerprint)
-            if on_round is not None:
-                on_round(_snapshot())
-
-        completion_gain = self._completion(session, state)
-        if completion_gain and rounds:
-            last = rounds[-1]
-            rounds[-1] = RoundStats(
-                round_index=last.round_index,
-                gained=last.gained + completion_gain,
-                one_k_swaps=last.one_k_swaps,
-                two_k_swaps=last.two_k_swaps,
-                zero_one_swaps=last.zero_one_swaps + completion_gain,
-                is_size_after=last.is_size_after + completion_gain,
-                sc_vertices=last.sc_vertices,
-            )
-
-        independent_set = frozenset(np.flatnonzero(state == _IS).tolist())
-        return independent_set, tuple(rounds), max_sc_vertices, oscillation
-
-    # ------------------------------------------------------------------
     # Shared final 0-1 completion pass
     # ------------------------------------------------------------------
     @staticmethod
@@ -1114,7 +880,7 @@ class ParallelKernel(KernelBackend):
             return 0
         verts = order[cand_rec]
         lens = indptr[cand_rec + 1] - indptr[cand_rec]
-        nbrs = indices[_ragged_slots(indptr[cand_rec], lens)]
+        nbrs = indices[ragged_slots(indptr[cand_rec], lens)]
         src = np.repeat(np.arange(cand_rec.size, dtype=np.int64), lens)
         in_cand = np.zeros(csr.num_vertices, dtype=bool)
         in_cand[verts] = True

@@ -32,7 +32,8 @@ deferred to the next sequential scan in a disk-resident deployment.
 The round bodies are delegated to a pluggable kernel backend
 (:mod:`repro.core.kernels`); the ``numpy`` backend vectorizes the
 adjacency labelling, swap commits, post-swap refresh and completion
-sweeps, keeping only the sequential swap-conflict scan scalar.
+sweeps, and decides most pre-swap candidates in bulk, replaying in scan
+order only those an earlier promotion or conflict can reach.
 """
 
 from __future__ import annotations
@@ -136,6 +137,10 @@ def two_k_swap(
                 raise SolverError(f"initial independent set contains unknown vertex {v}")
         initial_size = len(initial_set)
 
+    # How the pre-swap scans split their "A" candidates: decided in bulk
+    # by vectorized classification vs replayed by the scalar event loop
+    # (the reference backend leaves both at zero).
+    telemetry = {"bulk_decided": 0, "replayed": 0}
     independent_set, rounds, max_sc_vertices, oscillation = kernel.two_k_swap_pass(
         source,
         initial_set,
@@ -144,10 +149,15 @@ def two_k_swap(
         max_partner_checks,
         resume=resume_state,
         on_round=on_round,
+        telemetry=telemetry,
     )
     elapsed = time.perf_counter() - started
     observe_pass(
-        "two_k_swap", kernel.name, size=len(independent_set), rounds=len(rounds)
+        "two_k_swap",
+        kernel.name,
+        size=len(independent_set),
+        rounds=len(rounds),
+        **telemetry,
     )
 
     extras = {"max_sc_vertices": float(max_sc_vertices)}

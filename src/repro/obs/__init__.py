@@ -79,9 +79,17 @@ class Observability:
     def pass_observer(self, pass_name: str, backend: str, fields: Mapping[str, object]) -> None:
         """Kernel-pass hook: count the pass and drop a trace instant."""
 
-        self.registry.inc(
-            "repro_kernel_passes_total", **{"pass": pass_name, "backend": backend}
-        )
+        labels = {"pass": pass_name, "backend": backend}
+        self.registry.inc("repro_kernel_passes_total", **labels)
+        # Swap-scan scheduling counters, once per pass (never per vertex).
+        for decided in ("bulk_decided", "replayed"):
+            if decided in fields:
+                self.registry.inc(
+                    "repro_kernel_scan_candidates_total",
+                    fields[decided],
+                    decided=decided,
+                    **labels,
+                )
         if self.tracer.enabled:
             args = {"backend": backend}
             args.update(fields)

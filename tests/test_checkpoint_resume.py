@@ -385,3 +385,96 @@ class TestResumeGuards:
         )
         with pytest.raises(CheckpointError, match="kernel backend"):
             engine.run(ExecutionContext.create(graph, backend="python"))
+
+
+# ----------------------------------------------------------------------
+# Malformed round-state snapshots
+# ----------------------------------------------------------------------
+def _round_snapshot(pass_name, backend):
+    """A genuine round-boundary snapshot of a 200-vertex PLRG run."""
+
+    from repro.core.kernels import get_backend
+    from repro.storage.scan import as_scan_source
+
+    graph = plrg_graph_with_vertex_count(200, 2.0, seed=3)
+    kernel = get_backend(backend)
+    source = as_scan_source(graph)
+    initial = kernel.greedy_pass(source)
+    snaps = []
+    if pass_name == "one_k_swap":
+        kernel.one_k_swap_pass(source, initial, 1, on_round=snaps.append)
+    else:
+        kernel.two_k_swap_pass(source, initial, 1, 8, 64, on_round=snaps.append)
+    return kernel, source, snaps[0]
+
+
+def _first_with(values, predicate):
+    return next(i for i, value in enumerate(values) if predicate(i, value))
+
+
+def _corruptions(pass_name, snapshot):
+    """(label, altered snapshot) pairs, one per invariant."""
+
+    state = snapshot["state"]
+    first = "isn" if pass_name == "one_k_swap" else "isn1"
+    adjacent = _first_with(state, lambda i, s: s == 3)
+    cases = [
+        ("short state", {"state": state[:-1]}),
+        ("long anchors", {first: snapshot[first] + [-1]}),
+        ("state code 9", {"state": [9] + state[1:]}),
+        ("state code P", {"state": [4] + state[1:]}),
+        ("anchor out of range", {first: [len(state)] + snapshot[first][1:]}),
+        ("anchor below -1", {first: [-2] + snapshot[first][1:]}),
+        (
+            "A vertex without anchor",
+            {first: [-1 if i == adjacent else a for i, a in enumerate(snapshot[first])]},
+        ),
+        ("non-integer state", {"state": ["x"] + state[1:]}),
+        ("missing rounds", {"rounds": None}),
+        ("bad history", {"history": ["not-hex"]}),
+    ]
+    if pass_name == "two_k_swap":
+        pair = _first_with(snapshot["isn2"], lambda i, b: b >= 0)
+        swapped_1 = list(snapshot["isn1"])
+        swapped_2 = list(snapshot["isn2"])
+        swapped_1[pair], swapped_2[pair] = swapped_2[pair], swapped_1[pair]
+        cases.append(("descending anchor pair", {"isn1": swapped_1, "isn2": swapped_2}))
+        equal_2 = list(snapshot["isn2"])
+        equal_2[pair] = snapshot["isn1"][pair]
+        cases.append(("equal anchor pair", {"isn2": equal_2}))
+    altered = []
+    for label, change in cases:
+        bad = dict(snapshot)
+        bad.update(change)
+        altered.append((label, bad))
+    altered.append(("missing key", {k: v for k, v in snapshot.items() if k != "can_swap"}))
+    return altered
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("pass_name", ["one_k_swap", "two_k_swap"])
+def test_malformed_resume_state_raises_checkpoint_error(backend, pass_name):
+    kernel, source, snapshot = _round_snapshot(pass_name, backend)
+    escaped = []
+    for label, bad in _corruptions(pass_name, snapshot):
+        try:
+            if pass_name == "one_k_swap":
+                kernel.one_k_swap_pass(source, frozenset(), None, resume=bad)
+            else:
+                kernel.two_k_swap_pass(source, frozenset(), None, 8, 64, resume=bad)
+        except CheckpointError:
+            continue
+        except Exception as exc:  # noqa: BLE001 - report every escape at once
+            escaped.append((label, repr(exc)))
+        else:
+            escaped.append((label, "accepted"))
+    assert escaped == []
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("pass_name", ["one_k_swap", "two_k_swap"])
+def test_genuine_resume_state_passes_validation(backend, pass_name):
+    from repro.core.kernels import validate_swap_resume
+
+    _, source, snapshot = _round_snapshot(pass_name, backend)
+    validate_swap_resume(snapshot, pass_name, source.num_vertices)

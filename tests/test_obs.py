@@ -313,6 +313,28 @@ class TestEngineObservability:
         assert events[-1] == "run_end"
         assert events.count("stage_start") == events.count("stage_end") == 2
 
+    def test_two_k_scan_split_reported_once_per_pass(self):
+        pytest.importorskip("numpy")
+        graph = erdos_renyi_gnm(400, 1200, seed=5)
+        obs = Observability(registry=MetricsRegistry(), tracer=SpanTracer())
+        solve_mis(graph, pipeline="two_k_swap", backend="numpy", obs=obs)
+        registry = obs.registry
+        labels = {"pass": "two_k_swap", "backend": "numpy"}
+        bulk = registry.value(
+            "repro_kernel_scan_candidates_total", decided="bulk_decided", **labels
+        )
+        replayed = registry.value(
+            "repro_kernel_scan_candidates_total", decided="replayed", **labels
+        )
+        assert bulk > 0 and replayed >= 0
+        [instant] = [
+            event
+            for event in obs.tracer.to_document()["traceEvents"]
+            if event["name"] == "pass:two_k_swap"
+        ]
+        assert instant["args"]["bulk_decided"] == bulk
+        assert instant["args"]["replayed"] == replayed
+
     def test_null_obs_records_nothing(self):
         graph = erdos_renyi_gnm(120, 300, seed=3)
         result = solve_mis(graph, pipeline="greedy", obs=NULL_OBS)

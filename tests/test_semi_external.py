@@ -9,8 +9,9 @@ Three claim groups are pinned here:
 * the numpy backend running over batched file scans returns bit-identical
   independent sets, round telemetry *and I/O counters* to the python
   reference streaming the same file;
-* the vectorized two-k membership join matches the reference's
-  dict-of-lists construction, and the oscillation guard stops
+* the vectorized two-k membership and partner joins match the
+  reference's dict-of-lists construction and per-candidate partner
+  loop, and the oscillation guard stops
   ``max_rounds=None`` swap loops identically under both backends.
 """
 
@@ -27,8 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import greedy_mis, one_k_swap, solve_mis, two_k_swap
-from repro.core.kernels.numpy_backend import _TwoKRound, _ADJ
-from repro.core.kernels.sc_store import SwapCandidateStore
+from repro.core.kernels.two_k_scan import _ADJ, _IS, TwoKRound
 from repro.graphs.generators import (
     complete_graph,
     empty_graph,
@@ -286,9 +286,7 @@ class TestVectorizedMembershipJoin:
                 isn1[v] = min(anchors)
                 if len(anchors) == 2 and anchors[0] != anchors[1]:
                     isn2[v] = max(anchors)
-        ctx = _TwoKRound(
-            n, state, isn1, isn2, SwapCandidateStore(), source=None, max_partner_checks=64
-        )
+        ctx = TwoKRound(state, isn1, isn2, None, 8, 64, np.full(n, -1, dtype=np.int64))
         reference = _reference_members(state, isn1, isn2, n)
         for anchor in range(n):
             lo, hi = ctx.mem_starts[anchor], ctx.mem_starts[anchor + 1]
@@ -298,6 +296,60 @@ class TestVectorizedMembershipJoin:
         ]
         expected = np.bincount([isn1[v] for v in singles], minlength=n)
         assert ctx.single_count.tolist() == expected.tolist()
+
+
+    @given(
+        n=st.integers(min_value=2, max_value=30),
+        seed=st.integers(min_value=0, max_value=10_000),
+        max_partner_checks=st.sampled_from([0, 1, 2, 3, 64]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_partner_join_matches_reference_partner_loop(
+        self, n, seed, max_partner_checks
+    ):
+        # Algorithm 4 line 1-2 for every two-anchor candidate, against
+        # the reference's per-candidate partner loop over the same state.
+        rng = random.Random(seed)
+        graph = erdos_renyi_gnm(n, rng.randint(0, n * (n - 1) // 4), seed=seed)
+        state = np.full(n, 2, dtype=np.uint8)
+        isn1 = np.full(n, -1, dtype=np.int64)
+        isn2 = np.full(n, -1, dtype=np.int64)
+        hubs = rng.sample(range(n), k=max(1, n // 4))
+        state[hubs] = _IS
+        for v in range(n):
+            if state[v] != _IS and rng.random() < 0.8:
+                state[v] = _ADJ
+                anchors = sorted(rng.sample(hubs, k=min(len(hubs), rng.choice((1, 2)))))
+                isn1[v] = anchors[0]
+                if len(anchors) == 2:
+                    isn2[v] = anchors[1]
+        ctx = TwoKRound(
+            state, isn1, isn2, None, 8, max_partner_checks, np.full(n, -1, dtype=np.int64)
+        )
+        cand = np.flatnonzero(state == _ADJ)
+        adjacency = [sorted(graph.neighbors(v)) for v in range(n)]
+        lens = np.array([len(adjacency[v]) for v in cand], dtype=np.int64)
+        nbrs = np.array(
+            [u for v in cand.tolist() for u in adjacency[v]], dtype=np.int64
+        )
+        src = np.repeat(np.arange(cand.size, dtype=np.int64), lens)
+        w1 = isn1[cand]
+        w2 = isn2[cand]
+        both_is = w2 >= 0
+        owners, partners = ctx._partner_join(cand, w1, w2, both_is, nbrs, src)
+
+        members = _reference_members(state, isn1, isn2, n)
+        expected = []
+        for i, v in enumerate(cand.tolist()):
+            if not both_is[i]:
+                continue
+            a, b = int(w1[i]), int(w2[i])
+            for partner in (members[a] + members[b])[:max_partner_checks]:
+                if partner == v or partner in adjacency[v]:
+                    continue
+                if {int(isn1[partner]), int(isn2[partner])} - {-1} <= {a, b}:
+                    expected.append((i, partner))
+        assert list(zip(owners.tolist(), partners.tolist())) == expected
 
 
 def _oscillating_graph():
