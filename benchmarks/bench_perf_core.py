@@ -399,9 +399,9 @@ def bench_parallel(
     """Benchmark the intra-job parallel layer over a worker-count ladder.
 
     One ``backend: parallel`` row per worker count, timing the full
-    greedy + one-k-swap composition (to convergence) over the shared-CSR
-    sharded passes, both in-memory and over the memory-mapped binary
-    artifact.  Every worker count's result is asserted bit-identical to
+    greedy + one-k-swap composition (to convergence) — greedy sharded
+    over the shared CSR, one-k on the serial backend — both in-memory and
+    over the memory-mapped binary artifact.  Every worker count's result is asserted bit-identical to
     the serial run — the speedup curve is only meaningful if the work is
     provably the same work.  Cached sessions are released between
     configurations so each worker count forks a fresh pool and no idle

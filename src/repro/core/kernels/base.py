@@ -354,6 +354,7 @@ class KernelBackend(abc.ABC):
         max_rounds: Optional[int],
         resume: Optional[dict] = None,
         on_round=None,
+        telemetry: Optional[Dict[str, int]] = None,
     ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], bool]:
         """Algorithm 2: 1↔k/0↔1 swap rounds until a fixpoint (or ``max_rounds``).
 
@@ -371,7 +372,10 @@ class KernelBackend(abc.ABC):
         hook the pipeline engine uses for per-round checkpointing.
         Snapshots are backend-specific (the oscillation fingerprints hash
         each backend's canonical encoding) and must be resumed on the
-        backend that produced them.
+        backend that produced them.  A backend that schedules the pre-swap
+        scan may add its per-pass counters (``bulk_decided`` /
+        ``replayed`` candidates) to ``telemetry``; the reference leaves it
+        untouched.
         """
 
     @abc.abstractmethod
@@ -389,10 +393,7 @@ class KernelBackend(abc.ABC):
         """Algorithms 3/4: 2↔k swap rounds; also returns the peak SC size.
 
         The final element is the oscillation-guard flag, and ``resume`` /
-        ``on_round`` behave as in :meth:`one_k_swap_pass`.  A backend that
-        schedules the pre-swap scan may add its per-pass counters
-        (``bulk_decided`` / ``replayed`` candidates) to ``telemetry``;
-        the reference leaves it untouched.
+        ``on_round`` / ``telemetry`` behave as in :meth:`one_k_swap_pass`.
         """
 
     @abc.abstractmethod

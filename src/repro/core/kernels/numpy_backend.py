@@ -18,35 +18,35 @@ Every full-graph O(n)/O(E) sweep is an ndarray operation:
 * the greedy exclusion writes are fancy-indexed stores into a ``uint8``
   state bitmap;
 * "A"-vertex labelling (the count of IS neighbours per vertex) is one
-  ``np.bincount`` over the CSR edge slots, and the identity of a unique
-  IS neighbour falls out of a weighted bincount (the sum of IS neighbour
-  ids *is* the neighbour when the count is one);
+  ``np.bincount`` over the batch's edge slots, and the identity of a
+  unique IS neighbour falls out of a weighted bincount (the sum of IS
+  neighbour ids *is* the neighbour when the count is one);
 * pointer counts, swap commits (P→IS, R→N) and set sizes are mask
-  operations;
-* the one-k 0↔1 post-swap scan keeps incremental ``count`` / ``sum`` /
-  ``blocker`` arrays so each scanned vertex costs O(1), with a fancy
-  neighbour update only when a vertex changes state class.  The batched
-  execution rebuilds the entries of the current chunk's vertices from the
-  live state instead — mathematically the same values, since the
-  incremental updates exist precisely to keep the arrays consistent with
-  the live state.
+  operations.
 
-The per-round swap-conflict resolution is defined through the scan
-order's right of preemption, so the one-k pre-swap scan stays a scalar
-loop over the pre-filtered "A" candidates.  Two-k-swap goes further
-(:mod:`repro.core.kernels.two_k_scan`): both of its round scans run on
-``scan_batches`` for in-memory and file sources alike, each batch's "A"
-candidates are classified against the batch-start state in bulk — the
-swap-candidate pairs from one ragged join of the lexsorted
-``(anchor, member)`` index — and a scalar event loop replays, in scan
-order, only the candidates an earlier promotion or conflict can reach.
-The post-swap scan is vectorized base labelling plus a sparse event
-loop over the 0↔1 insertions.
+The swap rounds are sequential by definition — earlier vertices preempt
+later ones — yet almost every outcome is already fixed by the state at
+the start of a scan batch.  Both swap passes therefore run their round
+scans on ``scan_batches`` for in-memory and file sources alike, as bulk
+classification plus a scalar event loop that replays, in scan order,
+only the candidates an earlier change of the batch can reach:
+
+* the one-k pre-swap scan (:mod:`repro.core.kernels.one_k_scan`) decides
+  each "A" candidate from its P neighbours, its anchor's state and the
+  1-2 condition; a promotion reaches its later neighbours and, while the
+  anchor is IS, every later candidate at the anchor;
+* the two-k pre-swap scan (:mod:`repro.core.kernels.two_k_scan`) adds
+  the swap-candidate pairs, from one ragged join of the lexsorted
+  ``(anchor, member)`` index;
+* the post-swap scan of both (:mod:`repro.core.kernels.relabel`) is
+  vectorized base labelling plus a sparse event loop over the 0↔1
+  insertions.
 
 Both executions produce results bit-identical to the ``python`` reference
 backend, including the per-round telemetry and the ``IOStats`` counters.
-The property tests in ``tests/test_kernel_backends.py`` and
-``tests/test_semi_external.py`` enforce this on randomized graphs.
+The property tests in ``tests/test_kernel_backends.py``,
+``tests/test_semi_external.py`` and the one-k / two-k parity sweeps
+enforce this on randomized graphs.
 """
 
 from __future__ import annotations
@@ -73,7 +73,9 @@ from repro.core.kernels.ndarrays import (
     ragged_slots,
 )
 from repro.core.kernels.python_backend import normalize_updates as _scalar_normalize
-from repro.core.kernels.two_k_scan import TwoKRound, two_k_relabel
+from repro.core.kernels.one_k_scan import OneKRound
+from repro.core.kernels.relabel import relabel_batch
+from repro.core.kernels.two_k_scan import TwoKRound
 from repro.core.result import RoundStats
 from repro.core.states import VertexState as S
 from repro.errors import GraphError, SolverError
@@ -84,9 +86,7 @@ __all__ = ["NumpyBackend"]
 # Plain-int state codes (VertexState values) for fast uint8 array compares.
 _IS = int(S.IS)
 _NON = int(S.NON_IS)
-_ADJ = int(S.ADJACENT)
 _PRO = int(S.PROTECTED)
-_CON = int(S.CONFLICT)
 _RET = int(S.RETROGRADE)
 
 #: Chunk size of the in-memory greedy scan: vertices already excluded are
@@ -226,15 +226,12 @@ class NumpyBackend(KernelBackend):
         max_rounds: Optional[int],
         resume: Optional[dict] = None,
         on_round=None,
+        telemetry: Optional[Dict[str, int]] = None,
     ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], bool]:
-        in_memory = isinstance(source, InMemoryAdjacencyScan)
+        # Both executions share one batched body: an in-memory source
+        # serves its CSR through the same ``scan_batches`` interface.
         n = source.num_vertices
-
-        if in_memory:
-            graph = source.graph
-            offsets, targets = graph.csr_arrays()
-            edge_src = graph.edge_sources_array()
-            order = source.order_array()
+        local_index = np.full(n, -1, dtype=np.int64)
 
         if resume is None:
             state = np.full(n, _NON, dtype=np.uint8)
@@ -243,33 +240,11 @@ class NumpyBackend(KernelBackend):
                     np.fromiter(initial_set, dtype=np.int64, count=len(initial_set))
                 ] = _IS
             isn = np.full(n, -1, dtype=np.int64)
-
-            if in_memory:
-                # Lines 1-3 (vectorized): count the IS neighbours of every
-                # vertex with one bincount over the CSR slots; where the count
-                # is exactly one, the weighted sum of IS neighbour ids is that
-                # neighbour.
-                is_slot = state[targets] == _IS
-                src_sel = edge_src[is_slot]
-                cnt = np.bincount(src_sel, minlength=n)
-                nbr_sum = int_bincount(src_sel, targets[is_slot], n)
-                a_mask = (state != _IS) & (cnt == 1)
-                state[a_mask] = _ADJ
-                isn[a_mask] = nbr_sum[a_mask]
-                source.stats.record_scan()
-            else:
-                # Same labelling, one block-batched chunk at a time.
-                for verts, local_offsets, tgts in source.scan_batches():
-                    lens = local_offsets[1:] - local_offsets[:-1]
-                    local_src = local_sources(verts.size, lens)
-                    is_slot = state[tgts] == _IS
-                    src_sel = local_src[is_slot]
-                    cnt = np.bincount(src_sel, minlength=verts.size)
-                    nbr_sum = int_bincount(src_sel, tgts[is_slot], verts.size)
-                    a_mask = (state[verts] != _IS) & (cnt == 1)
-                    adjacent = verts[a_mask]
-                    state[adjacent] = _ADJ
-                    isn[adjacent] = nbr_sum[a_mask]
+            # Lines 1-3: the post-swap labelling without 0-1 swaps.
+            for verts, local_offsets, tgts in source.scan_batches():
+                relabel_batch(
+                    state, isn, None, verts, local_offsets, tgts, local_index, False
+                )
 
             rounds: List[RoundStats] = []
             initial_size = len(initial_set)
@@ -303,42 +278,20 @@ class NumpyBackend(KernelBackend):
                 "history": encode_history(history),
             }
 
+        bulk_decided = 0
+        replayed = 0
         while (
             not oscillation
             and can_swap
             and (max_rounds is None or len(rounds) < max_rounds)
         ):
-            can_swap = False
-            zero_one_swaps = 0
-
-            # |ISN^-1(w)| for every IS vertex w, as one bincount.
-            adj_mask = state == _ADJ
-            pointer_count = np.bincount(isn[adj_mask & (isn >= 0)], minlength=n).astype(
-                np.int64
-            )
-
-            # ----------------------------------------------------------
-            # Pre-swap scan (lines 7-14).  The conflict resolution is
-            # sequential (earlier vertices preempt later ones), so this
-            # loop is scalar — but only over the pre-filtered "A"
-            # candidates, and each candidate's neighbourhood checks are
-            # single vectorized compares on a zero-copy CSR slice.  No
-            # other "A" vertex is mutated by a candidate's processing, so
-            # the pre-filter stays exact for the whole sweep.
-            # ----------------------------------------------------------
-            process = self._one_k_processor(state, isn, pointer_count)
-            if in_memory:
-                for v in order[state[order] == _ADJ].tolist():
-                    process(v, targets[offsets[v] : offsets[v + 1]])
-                source.stats.record_scan()
-            else:
-                for verts, local_offsets, tgts in source.scan_batches():
-                    vertex_list = verts.tolist()
-                    offset_list = local_offsets.tolist()
-                    for i in np.flatnonzero(state[verts] == _ADJ).tolist():
-                        process(
-                            vertex_list[i], tgts[offset_list[i] : offset_list[i + 1]]
-                        )
+            # Pre-swap scan (lines 7-14): bulk classification plus the
+            # scan-order event loop, one batch at a time.
+            scan = OneKRound(state, isn, local_index)
+            for verts, local_offsets, tgts in source.scan_batches():
+                scan.scan_batch(verts, local_offsets, tgts)
+            bulk_decided += scan.bulk_decided
+            replayed += scan.replayed
 
             # Swap phase (lines 15-19), fully vectorized.
             retro = state == _RET
@@ -347,86 +300,12 @@ class NumpyBackend(KernelBackend):
             one_k_swaps = int(retro.sum())
             can_swap = one_k_swaps > 0
 
-            # ----------------------------------------------------------
-            # Post-swap scan (lines 20-28).  The base IS-neighbour counts
-            # and id-sums come from vectorized bincounts; the scan itself
-            # then costs O(1) per vertex, updating the incremental arrays
-            # with one fancy store only when a vertex changes class.
-            # `blocker` counts neighbours whose state blocks a 0-1 swap
-            # (IS or A — P and R cannot exist after the swap phase).  The
-            # batched execution rebuilds the current chunk's entries from
-            # the live state instead — the same values by construction.
-            # ----------------------------------------------------------
-            if in_memory:
-                is_slot = state[targets] == _IS
-                src_sel = edge_src[is_slot]
-                cnt = np.bincount(src_sel, minlength=n).astype(np.int64)
-                nbr_sum = int_bincount(src_sel, targets[is_slot], n)
-                blocker_slot = is_slot | (state[targets] == _ADJ)
-                blocker = np.bincount(edge_src[blocker_slot], minlength=n).astype(
-                    np.int64
+            # Post-swap scan (lines 20-28).
+            zero_one_swaps = 0
+            for verts, local_offsets, tgts in source.scan_batches():
+                zero_one_swaps += relabel_batch(
+                    state, isn, None, verts, local_offsets, tgts, local_index, True
                 )
-
-                for v in order[state[order] != _IS].tolist():
-                    old = state[v]
-                    if cnt[v] == 1:
-                        state[v] = _ADJ
-                        isn[v] = nbr_sum[v]
-                        if old != _ADJ:
-                            blocker[targets[offsets[v] : offsets[v + 1]]] += 1
-                    else:
-                        state[v] = _NON
-                        isn[v] = -1
-                        if old == _ADJ:
-                            blocker[targets[offsets[v] : offsets[v + 1]]] -= 1
-                        if blocker[v] == 0:
-                            # 0-1 swap: no neighbour is IS or A.
-                            state[v] = _IS
-                            zero_one_swaps += 1
-                            nbrs = targets[offsets[v] : offsets[v + 1]]
-                            cnt[nbrs] += 1
-                            nbr_sum[nbrs] += v
-                            blocker[nbrs] += 1
-                source.stats.record_scan()
-            else:
-                cnt = np.zeros(n, dtype=np.int64)
-                nbr_sum = np.zeros(n, dtype=np.int64)
-                blocker = np.zeros(n, dtype=np.int64)
-                for verts, local_offsets, tgts in source.scan_batches():
-                    lens = local_offsets[1:] - local_offsets[:-1]
-                    local_src = local_sources(verts.size, lens)
-                    is_slot = state[tgts] == _IS
-                    src_sel = local_src[is_slot]
-                    cnt[verts] = np.bincount(src_sel, minlength=verts.size)
-                    nbr_sum[verts] = int_bincount(src_sel, tgts[is_slot], verts.size)
-                    blocker[verts] = np.bincount(
-                        local_src[is_slot | (state[tgts] == _ADJ)],
-                        minlength=verts.size,
-                    )
-                    vertex_list = verts.tolist()
-                    offset_list = local_offsets.tolist()
-                    # Mirror of the in-memory post-swap body above, with
-                    # neighbour slices taken from the batch fragment.
-                    for i in np.flatnonzero(state[verts] != _IS).tolist():
-                        v = vertex_list[i]
-                        old = state[v]
-                        if cnt[v] == 1:
-                            state[v] = _ADJ
-                            isn[v] = nbr_sum[v]
-                            if old != _ADJ:
-                                blocker[tgts[offset_list[i] : offset_list[i + 1]]] += 1
-                        else:
-                            state[v] = _NON
-                            isn[v] = -1
-                            if old == _ADJ:
-                                blocker[tgts[offset_list[i] : offset_list[i + 1]]] -= 1
-                            if blocker[v] == 0:
-                                state[v] = _IS
-                                zero_one_swaps += 1
-                                nbrs = tgts[offset_list[i] : offset_list[i + 1]]
-                                cnt[nbrs] += 1
-                                nbr_sum[nbrs] += v
-                                blocker[nbrs] += 1
 
             new_size = int((state == _IS).sum())
             rounds.append(
@@ -450,6 +329,10 @@ class NumpyBackend(KernelBackend):
             if on_round is not None:
                 on_round(_snapshot())
 
+        if telemetry is not None:
+            telemetry["bulk_decided"] = bulk_decided
+            telemetry["replayed"] = replayed
+
         completion_gain = self._completion_pass(source, state)
         if completion_gain and rounds:
             last = rounds[-1]
@@ -464,45 +347,6 @@ class NumpyBackend(KernelBackend):
 
         independent_set = frozenset(np.flatnonzero(state == _IS).tolist())
         return independent_set, tuple(rounds), oscillation
-
-    @staticmethod
-    def _one_k_processor(state, isn, pointer_count):
-        """Per-candidate closure for Algorithm 2 lines 7-14.
-
-        Shared by the in-memory and block-batched pre-swap scans; the hot
-        arrays are closure variables, so calling it costs the same as the
-        inlined loop body.
-        """
-
-        def process(v, nbrs) -> None:
-            anchor = isn[v]
-            if anchor < 0:  # pragma: no cover - defensive only
-                state[v] = _NON
-                return
-            nstate = state[nbrs]
-
-            if (nstate == _PRO).any():
-                # Case (i): conflict with an earlier swap candidate.
-                state[v] = _CON
-                pointer_count[anchor] -= 1
-                return
-
-            anchor_state = state[anchor]
-            if anchor_state == _IS:
-                # Case (ii): does a 1-2 swap skeleton exist?
-                adjacent_partners = int(((nstate == _ADJ) & (isn[nbrs] == anchor)).sum())
-                if pointer_count[anchor] - 1 - adjacent_partners > 0:
-                    state[v] = _PRO
-                    state[anchor] = _RET
-                    pointer_count[anchor] -= 1
-                    return
-
-            if anchor_state == _RET:
-                # Case (iii): complete the swap started by an earlier vertex.
-                state[v] = _PRO
-                pointer_count[anchor] -= 1
-
-        return process
 
     # ------------------------------------------------------------------
     # Algorithms 3 & 4: two-k-swap.
@@ -534,7 +378,7 @@ class NumpyBackend(KernelBackend):
             isn2 = np.full(n, -1, dtype=np.int64)
             # Lines 1-3: the post-swap labelling without 0-1 swaps.
             for verts, local_offsets, tgts in source.scan_batches():
-                two_k_relabel(
+                relabel_batch(
                     state, isn1, isn2, verts, local_offsets, tgts, local_index, False
                 )
 
@@ -602,7 +446,7 @@ class NumpyBackend(KernelBackend):
             # Post-swap scan (Algorithm 3 lines 15-23).
             zero_one_swaps = 0
             for verts, local_offsets, tgts in source.scan_batches():
-                zero_one_swaps += two_k_relabel(
+                zero_one_swaps += relabel_batch(
                     state, isn1, isn2, verts, local_offsets, tgts, local_index, True
                 )
 

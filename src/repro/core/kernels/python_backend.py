@@ -133,6 +133,7 @@ class PythonBackend(KernelBackend):
         max_rounds: Optional[int],
         resume: Optional[dict] = None,
         on_round=None,
+        telemetry: Optional[Dict[str, int]] = None,
     ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], bool]:
         num_vertices = source.num_vertices
         if resume is None:

@@ -9,9 +9,10 @@ serves in-memory and file-backed sources alike):
   vectorized compares, and only those whose outcome can differ from
   "nothing happens" — or whose inputs an earlier promotion or conflict
   touched — are replayed, in scan order, by a scalar event loop;
-* :func:`two_k_relabel` — the post-swap scan of Algorithm 3 lines 15-23
-  (and the initial labelling of lines 1-3): vectorized base labelling
-  plus a sparse event loop over the 0-1 insertions.
+* :func:`~repro.core.kernels.relabel.relabel_batch` — the post-swap
+  scan of Algorithm 3 lines 15-23 (and the initial labelling of lines
+  1-3), shared with the one-k pass: vectorized base labelling plus a
+  sparse event loop over the 0-1 insertions.
 
 Both produce results bit-identical to the python reference: sets, round
 telemetry, swap-candidate store peaks and the random lookups charged by
@@ -23,18 +24,17 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_left, bisect_right
-from typing import Dict, Set
+from typing import Set
 
 import numpy as np
 
-from repro.core.kernels.ndarrays import int_bincount, local_sources, ragged_slots
+from repro.core.kernels.ndarrays import local_sources, ragged_slots
 from repro.core.kernels.sc_store import SwapCandidateStore
 from repro.core.states import VertexState as S
 
-__all__ = ["TwoKRound", "two_k_relabel"]
+__all__ = ["TwoKRound"]
 
 _IS = int(S.IS)
-_NON = int(S.NON_IS)
 _ADJ = int(S.ADJACENT)
 _PRO = int(S.PROTECTED)
 _CON = int(S.CONFLICT)
@@ -479,147 +479,3 @@ class TwoKRound:
         self.replayed += replayed
         self.bulk_decided += k - replayed
 
-
-def two_k_relabel(state, isn1, isn2, verts, local_offsets, tgts, local_index,
-                   insert: bool) -> int:
-    """Algorithm 3 lines 15-23 over one scan batch; returns the 0-1 swaps.
-
-    Every scanned (non-IS) vertex takes its base label from the batch-start
-    IS-neighbour count — A with its one or two anchors (the smaller id from
-    a per-record minimum, the larger from the id sum) when the count is 1
-    or 2, N otherwise — in one vectorized store.  Earlier batches are
-    already final in the live state, so a vertex deviates from its base
-    label only through a 0-1 insertion earlier in its own batch, and
-    insertions start only at zero-count vertices.  A sparse event loop
-    walks those seeds and everything an insertion reaches in scan order,
-    carrying the exact count/sum/min/blocker corrections the serial scan
-    would see.  With ``insert`` false this is the initial labelling of
-    lines 1-3 (no 0-1 swaps).
-    """
-
-    n = state.size
-    r = verts.size
-    lens = local_offsets[1:] - local_offsets[:-1]
-    src = local_sources(r, lens)
-    is_slot = state[tgts] == _IS
-    sel = src[is_slot]
-    is_nbrs = tgts[is_slot]
-    cnt = np.bincount(sel, minlength=r)
-    nbr_sum = int_bincount(sel, is_nbrs, r)
-    # Smallest IS neighbour per record (n = none): the IS slots are
-    # grouped by record, so one reduceat over the non-empty groups.
-    nbr_min = np.full(r, n, dtype=np.int64)
-    has_is = np.flatnonzero(cnt)
-    if has_is.size:
-        nbr_min[has_is] = np.minimum.reduceat(is_nbrs, (np.cumsum(cnt) - cnt)[has_is])
-    vstate = state[verts]
-    scanned = np.flatnonzero(vstate != _IS)
-    count = cnt[scanned]
-    one = count == 1
-    two = count == 2
-    labelled_adj = one | two
-    seeds = scanned[count == 0] if insert else _EMPTY
-
-    if seeds.size:
-        # Blocker (IS or A neighbours) of each seed at its own scan turn,
-        # if every earlier vertex of the batch took its base label.
-        seed_lens = lens[seeds]
-        seed_nbrs = tgts[ragged_slots(local_offsets[seeds], seed_lens)]
-        seed_src = local_sources(seeds.size, seed_lens)
-        nbr_state = state[seed_nbrs]
-        blocking = (nbr_state == _IS) | (nbr_state == _ADJ)
-        local_index[verts] = np.arange(r, dtype=np.int64)
-        nbr_local = local_index[seed_nbrs]
-        delta = np.zeros(r, dtype=np.int64)
-        delta[scanned] = labelled_adj.astype(np.int64) - (vstate[scanned] == _ADJ)
-        earlier = (nbr_local >= 0) & (nbr_local < seeds[seed_src])
-        seed_blocker = np.bincount(
-            seed_src[blocking], minlength=seeds.size
-        ) + int_bincount(
-            seed_src[earlier], delta[nbr_local[earlier]], seeds.size
-        )
-
-    scanned_v = verts[scanned]
-    low = nbr_min[scanned]
-    state[scanned_v] = np.where(labelled_adj, _ADJ, _NON)
-    isn1[scanned_v] = np.where(one, nbr_sum[scanned], np.where(two, low, -1))
-    isn2[scanned_v] = np.where(two, nbr_sum[scanned] - low, -1)
-    if not seeds.size:
-        return 0
-
-    try:
-        return _insertion_events(
-            state, isn1, isn2, verts, local_offsets, tgts, local_index,
-            cnt, nbr_sum, nbr_min, seeds, seed_blocker,
-        )
-    finally:
-        local_index[verts] = -1
-
-
-def _insertion_events(state, isn1, isn2, verts, local_offsets, tgts, local,
-                      cnt, nbr_sum, nbr_min, seeds, seed_blocker) -> int:
-    """Scan-order 0-1 insertions of one post-swap batch (see ``two_k_relabel``)."""
-
-    n = state.size
-    state = memoryview(state)
-    isn1 = memoryview(isn1)
-    isn2 = memoryview(isn2)
-    verts = memoryview(verts)
-    offsets = memoryview(local_offsets)
-    tgts = memoryview(tgts)
-    local = memoryview(local)
-    cnt = memoryview(cnt)
-    nbr_sum = memoryview(nbr_sum)
-    nbr_min = memoryview(nbr_min)
-
-    heap = seeds.tolist()  # ascending: a valid heap
-    blocker0 = dict(zip(heap, seed_blocker.tolist()))
-    done: Set[int] = set()
-    extra_cnt: Dict[int, int] = {}
-    extra_sum: Dict[int, int] = {}
-    extra_min: Dict[int, int] = {}
-    corr: Dict[int, int] = {}
-    inserted = 0
-    while heap:
-        i = heapq.heappop(heap)
-        if i in done:
-            continue
-        done.add(i)
-        v = verts[i]
-        base = cnt[i]
-        live = base + extra_cnt.get(i, 0)
-        if 1 <= live <= 2:
-            total = nbr_sum[i] + extra_sum.get(i, 0)
-            if live == 1:
-                isn1[v] = total
-                isn2[v] = -1
-            else:
-                low = min(nbr_min[i], extra_min.get(i, n))
-                isn1[v] = low
-                isn2[v] = total - low
-            state[v] = _ADJ
-            blocks = 1
-        else:
-            state[v] = _NON
-            isn1[v] = -1
-            isn2[v] = -1
-            blocks = 0
-            if live == 0 and blocker0[i] + corr.get(i, 0) == 0:
-                # 0-1 swap: no live neighbour is IS or A.
-                state[v] = _IS
-                inserted += 1
-                blocks = 1
-                for u in tgts[offsets[i] : offsets[i + 1]]:
-                    j = local[u]
-                    if j > i:
-                        extra_cnt[j] = extra_cnt.get(j, 0) + 1
-                        extra_sum[j] = extra_sum.get(j, 0) + v
-                        extra_min[j] = min(extra_min.get(j, n), v)
-                        heapq.heappush(heap, j)
-        deviation = blocks - (1 <= base <= 2)
-        if deviation:
-            for u in tgts[offsets[i] : offsets[i + 1]]:
-                j = local[u]
-                if j > i:
-                    corr[j] = corr.get(j, 0) + deviation
-    return inserted

@@ -27,9 +27,10 @@ post-swap scan; the loop terminates when a round performs no 1↔k swap.
 
 The round bodies are delegated to a pluggable kernel backend
 (:mod:`repro.core.kernels`): the ``python`` reference streams records from
-any scan source, while the ``numpy`` backend vectorizes every full-graph
-state sweep over the in-memory CSR arrays.  Both return identical sets
-and identical per-round telemetry.
+any scan source, while the ``numpy`` backend runs both round scans on
+block-batched ndarray chunks, deciding most "A" candidates in bulk and
+replaying in scan order only those an earlier swap can reach.  Both
+return identical sets and identical per-round telemetry.
 """
 
 from __future__ import annotations
@@ -111,10 +112,11 @@ def one_k_swap(
         Optional callback invoked after every completed swap round with a
         JSON-serializable snapshot of the loop state (the checkpoint hook).
     workers:
-        Number of worker processes for the round bodies (``1`` = the
-        serial path; ``> 1`` is bit-identical — sets, rounds,
-        fingerprints, snapshots and modeled I/O — so snapshots carry
-        across worker counts; see :mod:`repro.core.parallel`).
+        Number of worker processes for the default greedy start (``1`` =
+        the serial path; the swap rounds always run serially).  ``> 1``
+        is bit-identical — sets, rounds, fingerprints, snapshots and
+        modeled I/O — so snapshots carry across worker counts; see
+        :mod:`repro.core.parallel`.
 
     Returns
     -------
@@ -148,12 +150,25 @@ def one_k_swap(
                 raise SolverError(f"initial independent set contains unknown vertex {v}")
         initial_size = len(initial_set)
 
+    # How the pre-swap scans split their "A" candidates: decided in bulk
+    # by vectorized classification vs replayed by the scalar event loop
+    # (the reference backend leaves both at zero).
+    telemetry = {"bulk_decided": 0, "replayed": 0}
     independent_set, rounds, oscillation = kernel.one_k_swap_pass(
-        source, initial_set, max_rounds, resume=resume_state, on_round=on_round
+        source,
+        initial_set,
+        max_rounds,
+        resume=resume_state,
+        on_round=on_round,
+        telemetry=telemetry,
     )
     elapsed = time.perf_counter() - started
     observe_pass(
-        "one_k_swap", kernel.name, size=len(independent_set), rounds=len(rounds)
+        "one_k_swap",
+        kernel.name,
+        size=len(independent_set),
+        rounds=len(rounds),
+        **telemetry,
     )
 
     return MISResult(

@@ -4,10 +4,11 @@
 use: given the serial kernel backend resolved for a run and the
 requested worker count, it returns either the kernel unchanged
 (``workers <= 1`` — byte-for-byte the existing serial path) or a
-:class:`~repro.core.parallel.passes.ParallelKernel` that executes the
-same passes with the O(E) sweeps sharded across forked worker processes
-over a shared record-major CSR (see :mod:`repro.core.parallel.csr` and
-:mod:`repro.core.parallel.pool`).
+:class:`~repro.core.parallel.passes.ParallelKernel` that shards the
+greedy pass across forked worker processes over a shared record-major
+CSR (see :mod:`repro.core.parallel.csr` and
+:mod:`repro.core.parallel.pool`) and runs every other pass on the serial
+backend.
 
 Parallel execution is deterministic and bit-identical to the serial
 backends by construction — sets, rounds, oscillation fingerprints,

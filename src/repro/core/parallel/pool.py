@@ -7,12 +7,6 @@ segments stay shared, memmap pages stay shared, and nothing is pickled.
 Each worker owns a contiguous record range balanced by CSR slot count and
 serves commands over a pipe:
 
-``label1`` / ``cnt_is``
-    The O(E) bincount sweeps of the one-k-swap pass, computed over the
-    worker's slot range and scattered into the shared per-vertex arrays.
-    The scatter targets (``order[r0:r1]``) are disjoint across workers,
-    so no reduction is needed and the merged arrays are deterministic —
-    bit-identical to the serial backend's full-graph bincounts.
 ``greedy_init`` / ``greedy_wave``
     Wave-iterated greedy: the shared ``state`` array holds the decided
     flags (0 undecided / 1 in / 2 out) and each wave decides every local
@@ -42,15 +36,11 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.kernels.base import contribute_metrics, metrics_enabled
-from repro.core.kernels.ndarrays import int_bincount, ragged_slots
+from repro.core.kernels.ndarrays import ragged_slots
 from repro.errors import SolverError
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import format as fmt
 from repro.storage.io_stats import IOStats
-
-from repro.core.states import VertexState as S
-
-_IS = int(S.IS)
 
 __all__ = ["ParallelPool"]
 
@@ -120,8 +110,6 @@ class ParallelPool:
 
         self._segments: List = []
         self.state = _shared_array((n,), np.uint8, self._segments)
-        self.cnt = _shared_array((n,), np.int64, self._segments)
-        self.nbr_sum = _shared_array((n,), np.int64, self._segments)
 
         # Record ranges balanced by slot count, so the O(E) sweeps split
         # evenly even when the degree distribution is skewed (PLRG).
@@ -240,8 +228,6 @@ class ParallelPool:
         self._pipes = []
         self._procs = []
         self.state = None
-        self.cnt = None
-        self.nbr_sum = None
         for segment in self._segments:
             try:
                 segment.close()
@@ -261,44 +247,9 @@ class _Worker:
         self.rank = rank
         self.csr = pool.csr
         self.state = pool.state
-        self.cnt = pool.cnt
-        self.nbr_sum = pool.nbr_sum
         self.text_plan = pool._text_plan
         self.r0, self.r1 = pool.ranges[rank]
-        indptr = self.csr.indptr
-        self.s0 = int(indptr[self.r0])
-        self.s1 = int(indptr[self.r1])
-        self.verts = self.csr.order[self.r0 : self.r1]
-        self.lens = indptr[self.r0 + 1 : self.r1 + 1] - indptr[self.r0 : self.r1]
-        self._local_src = None
         self._pending = None
-
-    @property
-    def local_src(self):
-        if self._local_src is None:
-            self._local_src = np.repeat(
-                np.arange(self.r1 - self.r0, dtype=np.int64), self.lens
-            )
-        return self._local_src
-
-    def _slots(self):
-        return self.csr.indices[self.s0 : self.s1]
-
-    # -- swap-pass bincount sweeps -------------------------------------
-    def label1(self, _payload) -> None:
-        m = self.r1 - self.r0
-        tgts = self._slots()
-        is_slot = self.state[tgts] == _IS
-        src_sel = self.local_src[is_slot]
-        self.cnt[self.verts] = np.bincount(src_sel, minlength=m)
-        self.nbr_sum[self.verts] = int_bincount(src_sel, tgts[is_slot], m)
-
-    def cnt_is(self, _payload) -> None:
-        m = self.r1 - self.r0
-        tgts = self._slots()
-        self.cnt[self.verts] = np.bincount(
-            self.local_src[self.state[tgts] == _IS], minlength=m
-        )
 
     # -- wave-iterated greedy ------------------------------------------
     _GREEDY_CHUNK = 8192
@@ -457,8 +408,6 @@ def _worker_main(pool: ParallelPool, rank: int, conn) -> None:
 
     worker = _Worker(pool, rank)
     handlers = {
-        "label1": worker.label1,
-        "cnt_is": worker.cnt_is,
         "greedy_init": worker.greedy_init,
         "greedy_wave": worker.greedy_wave,
         "fill_text": worker.fill_text,

@@ -101,9 +101,10 @@ def two_k_swap(
         Optional per-round callback receiving a JSON-serializable loop
         snapshot (the pipeline engine's checkpoint hook).
     workers:
-        Number of worker processes for the round bodies (``1`` = the
-        serial path; ``> 1`` is bit-identical, so snapshots carry across
-        worker counts; see :mod:`repro.core.parallel`).
+        Number of worker processes for the default greedy start (``1`` =
+        the serial path; the swap rounds always run serially).  ``> 1``
+        is bit-identical, so snapshots carry across worker counts; see
+        :mod:`repro.core.parallel`.
 
     Returns
     -------

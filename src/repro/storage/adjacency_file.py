@@ -215,7 +215,8 @@ class AdjacencyFileReader:
         """Yield ``(vertex, neighbours)`` for every record, in file order.
 
         The first complete scan also builds the in-memory offset index used
-        by :meth:`neighbors`.
+        by :meth:`neighbors`, and rejects a neighbour id outside the
+        declared vertex range with a :class:`FormatError`.
         """
 
         offset = fmt.HEADER_SIZE
@@ -228,6 +229,10 @@ class AdjacencyFileReader:
         while offset < file_size and count < self._num_vertices:
             vertex, degree, neighbors, next_offset = self._read_record(offset)
             if building_index:
+                if neighbors and max(neighbors) >= self._num_vertices:
+                    raise self._neighbour_range_error(
+                        count, vertex, offset, max(neighbors)
+                    )
                 offsets[vertex] = offset
                 order.append(vertex)
                 degrees.append(degree)
@@ -323,9 +328,11 @@ class AdjacencyFileReader:
         regardless of how the range is partitioned into requests.
 
         The first complete pass walks the records to discover their
-        boundaries and builds the same offset index ``scan()`` builds
-        (plus a per-record degree cache); later passes split the stream
-        fully vectorized from the cached degrees.
+        boundaries, checks every neighbour id against the declared vertex
+        range (a :class:`FormatError` names the first bad record) and
+        builds the same offset index ``scan()`` builds (plus a per-record
+        degree cache); later passes split the stream fully vectorized from
+        the cached degrees, without re-checking.
         """
 
         if _np is None:
@@ -343,16 +350,18 @@ class AdjacencyFileReader:
 
         ``word_starts[i]`` is the index of record ``i``'s header inside
         ``words``; its neighbours are the ``degrees[i]`` words after the
-        2-word header.
+        2-word header.  The records are contiguous from word 0, so the
+        targets are every word of the span except the record headers.
         """
 
         local_offsets = _np.zeros(degrees.size + 1, dtype=_np.int64)
         _np.cumsum(degrees, out=local_offsets[1:])
         vertices = words[word_starts].astype(_np.int64)
-        gather = _np.arange(int(local_offsets[-1]), dtype=_np.int64) + _np.repeat(
-            word_starts + 2 - local_offsets[:-1], degrees
-        )
-        targets = words[gather].astype(_np.int64)
+        end = int(local_offsets[-1]) + 2 * degrees.size
+        body = _np.ones(end, dtype=bool)
+        body[word_starts] = False
+        body[word_starts + 1] = False
+        targets = _np.compress(body, words[:end]).astype(_np.int64)
         return AdjacencyBatch(vertices, local_offsets, targets)
 
     def _scan_batches_indexed(self, max_batch_bytes: int) -> Iterator[AdjacencyBatch]:
@@ -510,6 +519,17 @@ class AdjacencyFileReader:
                 starts_arr = _np.concatenate(start_runs)
                 degrees_arr = _np.concatenate(degree_runs)
                 batch = self._parse_batch_words(words, starts_arr, degrees_arr)
+                targets = batch.targets
+                # Ids are unsigned, so one max per batch bounds them all.
+                if targets.size and int(targets.max()) >= self._num_vertices:
+                    slot = int(_np.argmax(targets >= self._num_vertices))
+                    i = int(_np.searchsorted(batch.offsets, slot, side="right")) - 1
+                    raise self._neighbour_range_error(
+                        count + i,
+                        int(batch.vertices[i]),
+                        pending_abs + int(starts_arr[i]) * fmt.VERTEX_ID_BYTES,
+                        int(targets[slot]),
+                    )
                 order.extend(batch.vertices.tolist())
                 degrees.extend(degrees_arr.tolist())
                 record_offsets.extend(
@@ -530,6 +550,14 @@ class AdjacencyFileReader:
         if self._record_degrees is None:
             self._record_degrees = degrees
         self._device.stats.record_scan()
+
+    def _neighbour_range_error(
+        self, record: int, vertex: int, offset: int, neighbour: int
+    ) -> FormatError:
+        return FormatError(
+            f"record {record} (vertex {vertex}, byte offset {offset}) lists neighbour "
+            f"{neighbour} outside the declared range of {self._num_vertices} vertices"
+        )
 
     def build_index(self) -> None:
         """Ensure the in-memory record index exists (one full scan if not).

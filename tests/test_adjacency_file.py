@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import FormatError, StorageError
 from repro.graphs.generators import erdos_renyi_gnm, path_graph, star_graph
 from repro.graphs.graph import Graph
 from repro.storage import format as fmt
@@ -109,3 +109,47 @@ class TestReader:
         records = dict(reader.scan())
         assert set(records[0]) == {1, 2, 3, 4}
         assert records[2] == (0,)
+
+
+class TestNeighbourRange:
+    """A neighbour id outside ``[0, n)`` is a typed format error, never an IndexError."""
+
+    @staticmethod
+    def _corrupt_file(tmp_path, neighbour: int) -> str:
+        # Overwrite the first neighbour word of the first non-empty record.
+        graph = erdos_renyi_gnm(40, 60, seed=3)
+        path = str(tmp_path / "graph.adj")
+        write_adjacency_file(graph, path).close()
+        data = bytearray(open(path, "rb").read())
+        offset = fmt.HEADER_SIZE
+        while True:
+            _, degree = fmt.unpack_record_header(
+                bytes(data[offset : offset + fmt.RECORD_HEADER_SIZE])
+            )
+            if degree:
+                break
+            offset += fmt.RECORD_HEADER_SIZE + fmt.VERTEX_ID_BYTES * degree
+        first = offset + fmt.RECORD_HEADER_SIZE
+        data[first : first + fmt.VERTEX_ID_BYTES] = neighbour.to_bytes(
+            fmt.VERTEX_ID_BYTES, "little"
+        )
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return path
+
+    @pytest.mark.parametrize("neighbour", [40, 1000])
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("pipeline", ["greedy", "one_k_swap", "two_k_swap"])
+    def test_solve_raises_format_error(self, tmp_path, neighbour, backend, pipeline):
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        from repro.core.greedy import greedy_mis
+        from repro.core.one_k_swap import one_k_swap
+        from repro.core.two_k_swap import two_k_swap
+
+        solve = {"greedy": greedy_mis, "one_k_swap": one_k_swap, "two_k_swap": two_k_swap}
+        path = self._corrupt_file(tmp_path, neighbour)
+        with AdjacencyFileReader(path) as reader:
+            with pytest.raises(FormatError, match=f"record .* neighbour {neighbour} outside"):
+                solve[pipeline](reader, backend=backend)
+

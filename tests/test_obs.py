@@ -313,27 +313,36 @@ class TestEngineObservability:
         assert events[-1] == "run_end"
         assert events.count("stage_start") == events.count("stage_end") == 2
 
-    def test_two_k_scan_split_reported_once_per_pass(self):
+    @staticmethod
+    def _scan_split(pass_name):
         pytest.importorskip("numpy")
         graph = erdos_renyi_gnm(400, 1200, seed=5)
         obs = Observability(registry=MetricsRegistry(), tracer=SpanTracer())
-        solve_mis(graph, pipeline="two_k_swap", backend="numpy", obs=obs)
+        solve_mis(graph, pipeline=pass_name, backend="numpy", obs=obs)
         registry = obs.registry
-        labels = {"pass": "two_k_swap", "backend": "numpy"}
+        labels = {"pass": pass_name, "backend": "numpy"}
         bulk = registry.value(
             "repro_kernel_scan_candidates_total", decided="bulk_decided", **labels
         )
         replayed = registry.value(
             "repro_kernel_scan_candidates_total", decided="replayed", **labels
         )
-        assert bulk > 0 and replayed >= 0
         [instant] = [
             event
             for event in obs.tracer.to_document()["traceEvents"]
-            if event["name"] == "pass:two_k_swap"
+            if event["name"] == f"pass:{pass_name}"
         ]
         assert instant["args"]["bulk_decided"] == bulk
         assert instant["args"]["replayed"] == replayed
+        return bulk, replayed
+
+    def test_two_k_scan_split_reported_once_per_pass(self):
+        bulk, replayed = self._scan_split("two_k_swap")
+        assert bulk > 0 and replayed >= 0
+
+    def test_one_k_scan_split_reported_once_per_pass(self):
+        bulk, replayed = self._scan_split("one_k_swap")
+        assert bulk > 0 and replayed > 0
 
     def test_null_obs_records_nothing(self):
         graph = erdos_renyi_gnm(120, 300, seed=3)

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import tempfile
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.greedy import greedy_mis
 from repro.core.one_k_swap import one_k_swap
@@ -19,6 +24,19 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph
 from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_file
 from repro.validation.checks import is_independent_set, is_maximal_independent_set
+from swap_sweep import (
+    FAMILIES,
+    ORDERS,
+    SOURCES,
+    KillAfterBatches,
+    KilledScan,
+    close_source,
+    run_swap_pass,
+    strip_history,
+    sweep_graph,
+    sweep_order,
+    sweep_source,
+)
 
 
 def figure2_graph() -> Graph:
@@ -145,3 +163,142 @@ class TestOneKSwapTelemetry:
         result = one_k_swap(reader)
         assert is_maximal_independent_set(graph, result.independent_set)
         assert result.io.sequential_scans >= 3
+
+
+# ----------------------------------------------------------------------
+# Cross-backend parity fence
+# ----------------------------------------------------------------------
+def _run_one_k(graph, kind, order, tmp_dir, backend, initial=None, **options):
+    return run_swap_pass(one_k_swap, graph, kind, order, tmp_dir, backend, initial, **options)
+
+
+class TestOneKBackendParity:
+    @given(
+        family=st.sampled_from(FAMILIES),
+        seed=st.integers(min_value=0, max_value=10_000),
+        order_kind=st.sampled_from(ORDERS),
+        source_kind=st.sampled_from(SOURCES),
+        max_rounds=st.sampled_from([1, 4, None]),
+    )
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    # The oscillation guard stops an unbounded run on a repeated state.
+    @example(family="gnm", seed=85, order_kind="degree", source_kind="text", max_rounds=None)
+    @example(
+        family="star_clique", seed=437, order_kind="degree", source_kind="memmap",
+        max_rounds=None,
+    )
+    def test_numpy_matches_python_reference(
+        self, family, seed, order_kind, source_kind, max_rounds
+    ):
+        pytest.importorskip("numpy")
+        graph = sweep_graph(family, seed)
+        order = sweep_order(graph, order_kind, seed)
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            expected, expected_snaps = _run_one_k(
+                graph, source_kind, order, tmp_dir, "python", max_rounds=max_rounds
+            )
+            actual, actual_snaps = _run_one_k(
+                graph, source_kind, order, tmp_dir, "numpy", max_rounds=max_rounds
+            )
+        assert actual.independent_set == expected.independent_set
+        assert actual.rounds == expected.rounds
+        assert actual.io == expected.io
+        assert actual.extras == expected.extras
+        assert [s["oscillation"] for s in actual_snaps] == [
+            s["oscillation"] for s in expected_snaps
+        ]
+        # Unbounded runs keep a fingerprint history in each backend's own
+        # encoding; everything else in the snapshots must agree exactly.
+        if max_rounds is None:
+            assert strip_history(actual_snaps) == strip_history(expected_snaps)
+        else:
+            assert actual_snaps == expected_snaps
+        assert is_maximal_independent_set(graph, actual.independent_set)
+
+    def test_oscillation_example_stops_on_the_guard(self):
+        graph = sweep_graph("gnm", 85)
+        result, snapshots = _run_one_k(graph, "memory", "degree", "", "numpy", max_rounds=None)
+        assert result.extras == {"oscillation_guard": 1.0}
+        assert snapshots[-1]["oscillation"]
+
+
+    def test_post_swap_insertion_unblocks_a_later_seed(self):
+        # Post-swap scan in id order from a crafted round boundary: 0 is
+        # inserted, which lifts 1 from its base label A (one IS
+        # neighbour) to N (two), which unblocks the insertion of 2.
+        graph = Graph(4, [(0, 1), (1, 2), (1, 3)])
+        snapshot = {
+            "pass": "one_k_swap",
+            "initial_size": 1,
+            "state": [2, 2, 2, 1],
+            "isn": [-1] * 4,
+            "rounds": [],
+            "current_size": 1,
+            "can_swap": True,
+            "oscillation": False,
+            "history": None,
+        }
+        runs = {}
+        for backend in ("python", "numpy"):
+            snaps = []
+            result = one_k_swap(
+                graph, order="id", backend=backend, resume_state=dict(snapshot),
+                on_round=snaps.append, max_rounds=1,
+            )
+            runs[backend] = (result.independent_set, result.rounds, snaps)
+        assert runs["numpy"] == runs["python"]
+        assert runs["python"][2][0]["state"] == [1, 2, 1, 1]
+
+
+class TestOneKKillResume:
+    @pytest.mark.parametrize("source_kind", ["memory", "text"])
+    def test_mid_scan_kill_then_resume_matches_uninterrupted(self, tmp_path, source_kind):
+        pytest.importorskip("numpy")
+        # The adversarial cascade start performs one 1-2 swap per round;
+        # 64-byte batches split every scan into several batches.
+        graph = cascade_swap_graph(12)
+        initial = cascade_initial_independent_set(12)
+
+        def run(budget, resume_state=None):
+            """The pass over a source dying after ``budget`` batches (-1: never)."""
+
+            snapshots = []
+            source = sweep_source(graph, source_kind, "degree", str(tmp_path))
+            proxy = KillAfterBatches(source, budget, batch_bytes=64)
+            try:
+                result = one_k_swap(
+                    proxy, initial=initial, backend="numpy", max_rounds=None,
+                    on_round=snapshots.append, resume_state=resume_state,
+                )
+            except KilledScan:
+                result = None
+            finally:
+                close_source(source)
+            return result, snapshots, proxy.scan_sizes
+
+        reference, snapshots, scan_sizes = run(-1)
+        assert sum(r.one_k_swaps for r in reference.rounds) >= 3
+        # The labelling, each round's pre- and post-swap scans and the
+        # completion, each split into several batches.
+        assert len(scan_sizes) == 2 * len(snapshots) + 2
+        assert min(scan_sizes) >= 3
+        # One kill point inside every scan, at its middle batch.
+        kill_points = [
+            sum(scan_sizes[:i]) + size // 2 for i, size in enumerate(scan_sizes)
+        ]
+        killed_runs = 0
+        for kill_at in kill_points:
+            killed, killed_snaps, _ = run(kill_at)
+            assert killed is None
+            assert killed_snaps == snapshots[: len(killed_snaps)]
+            if not killed_snaps:
+                continue
+            # Resume from the last durable snapshot (JSON round trip).
+            resumed, resumed_snaps, _ = run(-1, json.loads(json.dumps(killed_snaps[-1])))
+            killed_runs += 1
+            assert resumed.independent_set == reference.independent_set
+            assert resumed.rounds == reference.rounds
+            assert resumed.extras == reference.extras
+            assert killed_snaps + resumed_snaps == snapshots
+        # Every scan after the first round's post-swap scan has a snapshot.
+        assert killed_runs == 2 * len(snapshots) - 1

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import random
 import tempfile
 
@@ -28,10 +27,21 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph
 from repro.graphs.plrg import plrg_graph_with_vertex_count
 from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_file
-from repro.storage.binary_format import MemmapAdjacencySource
-from repro.storage.converters import adjacency_to_binary
-from repro.storage.scan import as_scan_source
 from repro.validation.checks import is_independent_set, is_maximal_independent_set
+from swap_sweep import (
+    FAMILIES,
+    ORDERS,
+    SOURCES,
+    KillAfterBatches,
+    KilledScan,
+    close_source,
+    run_swap_pass,
+    star_clique_graph,
+    strip_history,
+    sweep_graph,
+    sweep_order,
+    sweep_source,
+)
 
 
 def figure7_graph() -> Graph:
@@ -161,93 +171,16 @@ class TestTwoKSwapTelemetry:
 # ----------------------------------------------------------------------
 # Cross-backend parity fence
 # ----------------------------------------------------------------------
-def _star_clique_graph(seed: int) -> Graph:
-    """Stars, cliques and K_{2,m} blocks glued by a few random edges.
-
-    K_{2,m} blocks give many two-anchor "A" vertices sharing one IS pair
-    (the 2-3 skeletons), stars give hub anchors with long member lists,
-    cliques give dense conflict neighbourhoods.
-    """
-
-    rng = random.Random(seed)
-    edges = set()
-    n = 0
-    for _ in range(rng.randint(2, 6)):
-        kind = rng.choice(("star", "clique", "k2m"))
-        size = rng.randint(2, 9)
-        if kind == "star":
-            edges.update((n, n + i) for i in range(1, size + 1))
-            n += size + 1
-        elif kind == "clique":
-            edges.update((n + i, n + j) for i in range(size) for j in range(i + 1, size))
-            n += size
-        else:
-            edges.update((n + side, n + 2 + i) for side in (0, 1) for i in range(size))
-            n += size + 2
-    for _ in range(rng.randint(0, n)):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
-
-
-def _sweep_graph(family: str, seed: int) -> Graph:
-    if family == "gnm":
-        n = 20 + seed % 60
-        return erdos_renyi_gnm(n, n * (1 + seed % 3), seed=seed)
-    if family == "plrg":
-        beta = 2.0 + (seed % 3) / 10
-        return plrg_graph_with_vertex_count(40 + seed % 120, beta, seed=seed)
-    if family == "cascade":
-        return cascade_swap_graph(2 + seed % 12)
-    return _star_clique_graph(seed)
-
-
-def _sweep_source(graph: Graph, kind: str, order, tmp_dir: str):
-    """A fresh scan source of ``kind`` over ``graph`` in scan ``order``."""
-
-    if kind == "memory":
-        return as_scan_source(graph, order=order)
-    records = order if not isinstance(order, str) else (
-        range(graph.num_vertices) if order == "id" else None
-    )
-    text = os.path.join(tmp_dir, "graph.adj")
-    if not os.path.exists(text):
-        write_adjacency_file(graph, text, order=records, block_size=32).close()
-    if kind == "text":
-        return AdjacencyFileReader(text, block_size=32)
-    binary = os.path.join(tmp_dir, "graph.csr")
-    if not os.path.exists(binary):
-        adjacency_to_binary(text, binary, block_size=32)
-    return MemmapAdjacencySource(binary, block_size=32)
-
-
-def _close(source) -> None:
-    getattr(source, "close", lambda: None)()
-
-
 def _run_two_k(graph, kind, order, tmp_dir, backend, initial=None, **options):
-    source = _sweep_source(graph, kind, order, tmp_dir)
-    snapshots = []
-    try:
-        result = two_k_swap(
-            source,
-            initial=greedy_mis(graph, order=order) if initial is None else initial,
-            backend=backend,
-            on_round=snapshots.append,
-            **options,
-        )
-    finally:
-        _close(source)
-    return result, snapshots
+    return run_swap_pass(two_k_swap, graph, kind, order, tmp_dir, backend, initial, **options)
 
 
 class TestTwoKBackendParity:
     @given(
-        family=st.sampled_from(["gnm", "plrg", "cascade", "star_clique"]),
+        family=st.sampled_from(FAMILIES),
         seed=st.integers(min_value=0, max_value=10_000),
-        order_kind=st.sampled_from(["degree", "id", "random"]),
-        source_kind=st.sampled_from(["memory", "text", "memmap"]),
+        order_kind=st.sampled_from(ORDERS),
+        source_kind=st.sampled_from(SOURCES),
         max_pairs_per_key=st.sampled_from([1, 2, 8]),
         max_partner_checks=st.sampled_from([1, 2, 64]),
     )
@@ -261,12 +194,8 @@ class TestTwoKBackendParity:
         self, family, seed, order_kind, source_kind, max_pairs_per_key, max_partner_checks
     ):
         pytest.importorskip("numpy")
-        graph = _sweep_graph(family, seed)
-        if order_kind == "random":
-            n = graph.num_vertices
-            order = random.Random(seed).sample(range(n), n)
-        else:
-            order = order_kind
+        graph = sweep_graph(family, seed)
+        order = sweep_order(graph, order_kind, seed)
         options = dict(
             max_rounds=4,
             max_pairs_per_key=max_pairs_per_key,
@@ -290,7 +219,7 @@ class TestTwoKBackendParity:
         # max_rounds=None arms the oscillation guard, whose fingerprints
         # hash each backend's own encoding; everything else must agree.
         for seed in range(4):
-            graph = _star_clique_graph(seed)
+            graph = star_clique_graph(seed)
             runs = {
                 backend: _run_two_k(graph, "memory", "degree", "", backend, max_rounds=None)
                 for backend in ("python", "numpy")
@@ -301,10 +230,7 @@ class TestTwoKBackendParity:
             assert actual.rounds == expected.rounds
             assert actual.io == expected.io
             assert actual.extras == expected.extras
-            strip = lambda snaps: [  # noqa: E731
-                {**s, "history": len(s["history"])} for s in snaps
-            ]
-            assert strip(actual_snaps) == strip(expected_snaps)
+            assert strip_history(actual_snaps) == strip_history(expected_snaps)
 
     def test_post_swap_insertion_reaches_a_later_seed(self):
         # Post-swap scan in id order from a crafted round boundary: 0 is
@@ -337,28 +263,6 @@ class TestTwoKBackendParity:
         assert runs["python"][2][0]["state"] == [1, 2, 1, 1, 1]
 
 
-class _KilledScan(Exception):
-    pass
-
-
-class _KillAfterBatches:
-    """Scan source proxy whose ``scan_batches`` dies after ``budget`` batches."""
-
-    def __init__(self, source, budget: int) -> None:
-        self._source = source
-        self.budget = budget
-
-    def __getattr__(self, name):
-        return getattr(self._source, name)
-
-    def scan_batches(self, *args, **kwargs):
-        for batch in self._source.scan_batches(*args, **kwargs):
-            if self.budget == 0:
-                raise _KilledScan()
-            self.budget -= 1
-            yield batch
-
-
 class TestTwoKKillResume:
     @pytest.mark.parametrize("source_kind", ["memory", "text"])
     def test_mid_round_kill_then_resume_matches_uninterrupted(self, tmp_path, source_kind):
@@ -371,26 +275,26 @@ class TestTwoKKillResume:
             graph, source_kind, "degree", str(tmp_path), "numpy", initial, **options
         )
         assert sum(r.two_k_swaps for r in reference.rounds) >= 3
-        probe = _sweep_source(graph, source_kind, "degree", str(tmp_path))
+        probe = sweep_source(graph, source_kind, "degree", str(tmp_path))
         batches_per_scan = sum(1 for _ in probe.scan_batches())
-        _close(probe)
+        close_source(probe)
         # One kill point inside every scan of the pass (the labelling and
         # each round's pre- and post-swap scans), at its middle batch.
         killed_runs = 0
         first = batches_per_scan // 2
         for kill_at in range(first, batches_per_scan * 20, batches_per_scan):
             killed_snaps = []
-            source = _sweep_source(graph, source_kind, "degree", str(tmp_path))
+            source = sweep_source(graph, source_kind, "degree", str(tmp_path))
             try:
                 two_k_swap(
-                    _KillAfterBatches(source, kill_at), initial=initial,
+                    KillAfterBatches(source, kill_at), initial=initial,
                     backend="numpy", on_round=killed_snaps.append, **options
                 )
                 continue  # the pass finished before the kill point
-            except _KilledScan:
+            except KilledScan:
                 pass
             finally:
-                _close(source)
+                close_source(source)
             assert killed_snaps == snapshots[: len(killed_snaps)]
             if not killed_snaps:
                 continue
