@@ -197,6 +197,10 @@ class RunSpec:
     checkpoint: Optional[str] = None
     resume: bool = False
     checkpoint_every_seconds: Optional[float] = None
+    #: Deprecated and ignored: every run executes its passes serially.
+    #: Still parsed, validated (an integer >= 1) and serialized so stored
+    #: specs and job records load, and still keyed by the service cache
+    #: (only when > 1) so keys minted by older daemons keep hitting.
     workers: int = 1
     #: Streaming runs: an edge-update file turns the run into a stream
     #: session (the maintained dynamic MIS consumes the updates in

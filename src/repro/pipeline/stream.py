@@ -81,23 +81,42 @@ def _maintainer_cls():
     return DynamicMISMaintainer
 
 
+def _decode_utf8(path: str, data: bytes) -> str:
+    """Decode an update stream, naming the line of its first non-UTF-8 byte."""
+
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise StreamError(f"{path}:{line}: not valid UTF-8") from None
+
+
 def load_updates(path: str) -> List[Tuple[str, int, int]]:
     """Parse an update file into ``(op, u, v)`` triples.
 
     ``op`` is ``"+"`` (insert) or ``"-"`` (delete).  ``path="-"`` reads
-    the stream from standard input instead of a file.  Raises
-    :class:`StreamError` naming the offending line for anything
-    malformed.
+    the stream from standard input instead of a file.  The stream must be
+    UTF-8.  Raises :class:`StreamError` naming the offending line for
+    anything malformed, including bytes that are not valid UTF-8.
     """
 
     updates: List[Tuple[str, int, int]] = []
     if path == "-":
-        lines = sys.stdin.readlines()
         path = "<stdin>"
+        binary = getattr(sys.stdin, "buffer", None)
+        if binary is None:  # an already-decoded text stream
+            lines = sys.stdin.readlines()
+        else:
+            lines = _decode_utf8(path, binary.read()).split("\n")
     else:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 lines = handle.readlines()
+        except UnicodeDecodeError:
+            # The text layer reports offsets inside its read chunk; decode
+            # the raw bytes once more to find the line of the bad byte.
+            with open(path, "rb") as handle:
+                lines = _decode_utf8(path, handle.read()).split("\n")
         except OSError as exc:
             raise StreamError(
                 f"cannot read update file {path!r}: {exc}"

@@ -100,12 +100,11 @@ def spec_key_fields(spec: RunSpec, input_digest: str) -> Dict[str, object]:
     they change how a run is persisted, never what it computes.  The
     requested backend stays in the key per the service contract (both
     backends produce bit-identical pipeline results, but a cache entry
-    records exactly what was asked for).  ``workers`` joins the key under
-    the same contract, but only when parallel execution was actually
-    requested (``> 1``): the serial default is omitted so every key
-    minted before the field existed remains valid — cache entries from
-    older service directories keep hitting.  Stream runs join the key the
-    same way: the update-file digest, batch size and compaction threshold
+    records exactly what was asked for).  The deprecated ``workers`` field
+    (ignored at execution) joins the key only when it is ``> 1``, as it
+    did when it selected a sharded execution path, so keys minted by
+    older daemons keep hitting.  Stream runs join the key the same way:
+    the update-file digest, batch size and compaction threshold
     appear only when ``updates`` is set (the batch boundaries never change
     the final set, but compaction cadence is observable in the stream
     telemetry, so the full stream identity is keyed).

@@ -534,45 +534,6 @@ class MemmapAdjacencySource:
         self._index_built = True
         self._stats.record_scan()
 
-    def charge_scan(self, max_batch_bytes: Optional[int] = None) -> bool:
-        """Charge one full batched scan to ``IOStats`` without serving arrays.
-
-        Applies the identical modeled per-batch charges
-        :meth:`scan_batches` applies (same plan, same ``_charge_read``
-        calls, one ``record_scan`` on exhaustion).  The parallel execution
-        layer uses this: workers re-memmap the artifact and read their
-        stripes at zero model cost while the parent replays the charges of
-        the equivalent sequential scan.
-        """
-
-        self._ensure_open()
-        if max_batch_bytes is None:
-            max_batch_bytes = self.block_size * DEFAULT_BATCH_BLOCKS
-        max_batch_bytes = max(int(max_batch_bytes), fmt.RECORD_HEADER_SIZE)
-        starts = self._starts()
-        if self._batch_plan is None or self._batch_plan[0] != max_batch_bytes:
-            self._batch_plan = (
-                max_batch_bytes,
-                batch_bounds(_np.diff(starts), max_batch_bytes),
-            )
-        _, bounds = self._batch_plan
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            self._charge_read(int(starts[a]), int(starts[b] - starts[a]))
-        self._index_built = True
-        self._stats.record_scan()
-        return True
-
-    def csr_views(self):
-        """Zero-copy ``(order, indptr, indices)`` views of the mapped sections.
-
-        ``order[i]`` is the vertex id of record ``i`` (the scan order),
-        ``indptr``/``indices`` the record-major CSR.  No charges — callers
-        model their access via :meth:`charge_scan`.
-        """
-
-        self._ensure_open()
-        return self._order, self._indptr, self._indices
-
     def scan_order(self) -> List[int]:
         """Vertex ids in artifact order (charges a scan if none ran yet).
 

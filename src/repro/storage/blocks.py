@@ -96,11 +96,6 @@ class BlockDevice:
 
         return self._path
 
-    def raw_file(self) -> BinaryIO:
-        """The backing file object (used by forked workers of in-memory devices)."""
-
-        return self._file
-
     @property
     def size(self) -> int:
         """Current size of the device contents in bytes."""
@@ -140,10 +135,8 @@ class BlockDevice:
 
         Applies exactly the charges :meth:`read_at` would apply — bytes,
         ceil-spanned blocks with the sequential one-block discount, seek
-        detection — and advances the sequential cursor identically, so a
-        caller that already holds the bytes (a striped worker scan, a
-        re-mapped artifact) can keep the modeled ``IOStats`` bit-identical
-        to a real sequential scan.
+        detection — and advances the sequential cursor identically.
+        :meth:`read_at` charges every physical read through it.
         """
 
         if offset < 0 or length < 0:

@@ -285,19 +285,6 @@ class InMemoryAdjacencyScan:
             yield AdjacencyBatch(verts, local_offsets, targets[gather])
         self._stats.record_scan()
 
-    def charge_scan(self, max_batch_bytes: Optional[int] = None) -> bool:
-        """Charge one logical sequential scan without enumerating records.
-
-        The in-memory source charges nothing per batch — ``scan`` and
-        ``scan_batches`` record exactly one sequential scan on exhaustion
-        — so the replay is that single ``record_scan``.  Part of the
-        charge-replay protocol the parallel execution layer uses on every
-        source type.
-        """
-
-        self._stats.record_scan()
-        return True
-
     def scan_order(self) -> List[int]:
         """Vertex ids in scan order."""
 

@@ -9,9 +9,8 @@ The contracts under test:
 * histogram bucket edges are fixed at first observation and survive
   snapshot/merge unchanged — a mismatch is an error, never silent
   re-bucketing;
-* instrumentation never changes results: an instrumented engine run and
-  parallel runs under ``--workers 1/2/4`` produce the same independent
-  set and the same integer solver counters;
+* instrumentation never changes results: an instrumented engine run
+  produces the same independent set and round count as a plain one;
 * the journal/trace files round-trip through their readers
   (``validate_trace``, ``read_journal``, ``follow_journal``) including
   torn trailing lines from a killed writer;
@@ -257,22 +256,8 @@ class TestEventJournal:
 
 
 # ----------------------------------------------------------------------
-# Engine + kernels + parallel wiring
+# Engine + kernels wiring
 # ----------------------------------------------------------------------
-def _solver_counters(registry):
-    """Integer solver-work counters that must be worker-count invariant."""
-
-    counters = {}
-    for entry in registry.snapshot()["series"]:
-        name = entry["name"]
-        if entry["kind"] != "counter":
-            continue
-        if name.startswith(("repro_stage_", "repro_rounds", "repro_kernel_")):
-            labels = tuple(sorted(entry["labels"].items()))
-            counters[(name, labels)] = entry["value"]
-    return counters
-
-
 class TestEngineObservability:
     def test_instrumented_run_matches_plain_run(self, tmp_path):
         graph = erdos_renyi_gnm(300, 900, seed=7)
@@ -350,28 +335,6 @@ class TestEngineObservability:
         assert result.size > 0
         assert NULL_OBS.registry.snapshot()["series"] == []
         assert NULL_OBS.tracer.to_document()["traceEvents"] == []
-
-    def test_solver_counters_identical_across_worker_counts(self):
-        pytest.importorskip("numpy")
-        graph = erdos_renyi_gnm(400, 1600, seed=9)
-
-        def run(workers):
-            obs = Observability(registry=MetricsRegistry())
-            result = solve_mis(
-                graph,
-                pipeline="two_k_swap",
-                backend="numpy",
-                workers=workers,
-                obs=obs,
-            )
-            return result.independent_set, _solver_counters(obs.registry)
-
-        baseline_set, baseline_counters = run(1)
-        assert baseline_counters  # non-empty: the restriction keeps real series
-        for workers in (2, 4):
-            mis, counters = run(workers)
-            assert mis == baseline_set
-            assert counters == baseline_counters
 
 
 # ----------------------------------------------------------------------

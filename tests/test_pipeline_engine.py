@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.greedy import greedy_mis
 from repro.core.one_k_swap import one_k_swap
 from repro.core.solver import PIPELINES, solve_mis
@@ -193,6 +194,39 @@ class TestSpecs:
     def test_run_spec_unreadable_file(self, tmp_path):
         with pytest.raises(PipelineSpecError, match="cannot read run spec"):
             RunSpec.from_path(str(tmp_path / "missing.json"))
+
+    def test_run_spec_rejects_bad_workers(self):
+        with pytest.raises(PipelineSpecError):
+            RunSpec.from_json(
+                '{"pipeline": "greedy", "input": "g.adj", "workers": 0}'
+            )
+        with pytest.raises(PipelineSpecError):
+            RunSpec.from_json(
+                '{"pipeline": "greedy", "input": "g.adj", "workers": true}'
+            )
+
+    def test_run_spec_workers_flow(self, tmp_path, capsys):
+        """The deprecated ``workers`` field loads, round-trips and changes nothing."""
+
+        graph = erdos_renyi_gnm(600, 1_800, seed=29)
+        input_path = str(tmp_path / "g.adj")
+        write_adjacency_file(graph, input_path).close()
+
+        def run_with(**extra):
+            payload = {"pipeline": "one_k_swap", "input": input_path, "backend": "numpy"}
+            payload.update(extra)
+            config = tmp_path / f"run-{len(extra)}.json"
+            config.write_text(json.dumps(payload))
+            assert RunSpec.from_path(str(config)).to_dict()["workers"] == extra.get(
+                "workers", 1
+            )
+            assert main(["run", "--config", str(config), "--json"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        plain = run_with()
+        legacy = run_with(workers=2)
+        for field in ("size", "rounds", "sequential_scans", "random_vertex_lookups"):
+            assert legacy[field] == plain[field]
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ The acceptance drill of the service subsystem:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -27,7 +28,8 @@ from repro.graphs.generators import erdos_renyi_gnm
 from repro.graphs.plrg import plrg_graph_with_vertex_count
 from repro.pipeline.context import ExecutionContext
 from repro.pipeline.engine import PipelineEngine
-from repro.pipeline.spec import RunSpec
+from repro.cli import build_parser
+from repro.pipeline.spec import BUILTIN_PIPELINES, RunSpec
 from repro.service import (
     JobStore,
     ResultCache,
@@ -37,6 +39,7 @@ from repro.service import (
     cache_key,
     file_digest,
 )
+from repro.service.cache import spec_key_fields
 from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_file
 
 DRAIN_TIMEOUT = 120.0
@@ -177,6 +180,37 @@ class TestCacheKeys:
             handle.seek(-1, os.SEEK_END)
             handle.write(b"\xff")
         assert file_digest(copy) != file_digest(adjacency_path)
+
+    # Keys computed by the service before the ``workers`` field became a
+    # deprecated no-op: the field must keep keying exactly as it did.
+    LEGACY_DIGEST = "csr1:feedfacefeedfacefeedfacefeedface"
+
+    def test_cache_key_stable_for_serial_specs(self):
+        """A ``workers=1`` spec keys exactly as before the field existed."""
+
+        spec = RunSpec(pipeline=BUILTIN_PIPELINES["one_k_swap"], input="g.csr1")
+        fields = spec_key_fields(spec, self.LEGACY_DIGEST)
+        assert set(fields) == {
+            "backend",
+            "input_digest",
+            "max_rounds",
+            "memory_limit_bytes",
+            "pipeline",
+        }
+        assert cache_key(spec, self.LEGACY_DIGEST) == "39157c33e03dd7166605614559cf7af7"
+
+    def test_cache_key_distinguishes_parallel_specs(self):
+        serial = RunSpec(pipeline=BUILTIN_PIPELINES["one_k_swap"], input="g.csr1")
+        parallel = RunSpec(
+            pipeline=BUILTIN_PIPELINES["one_k_swap"], input="g.csr1", workers=4
+        )
+        assert spec_key_fields(parallel, self.LEGACY_DIGEST)["workers"] == 4
+        assert cache_key(parallel, self.LEGACY_DIGEST) == (
+            "a766da22740e1b96386b634a8a7f6f41"
+        )
+        assert cache_key(serial, self.LEGACY_DIGEST) != cache_key(
+            parallel, self.LEGACY_DIGEST
+        )
 
 
 # ----------------------------------------------------------------------
@@ -501,6 +535,83 @@ class TestCancellation:
 
 
 # ----------------------------------------------------------------------
+# Hung-worker detection
+# ----------------------------------------------------------------------
+def _hang_forever(root, job_id):  # pragma: no cover - killed mid-sleep
+    time.sleep(600)
+
+
+class TestHeartbeats:
+    def test_stale_heartbeat_kills_and_requeues(self, tmp_path, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("hang simulation needs fork start method")
+        graph = erdos_renyi_gnm(200, 600, seed=31)
+        input_path = str(tmp_path / "g.adj")
+        write_adjacency_file(graph, input_path).close()
+        root = str(tmp_path / "svc")
+        client = ServiceClient(root)
+        record = client.submit(
+            RunSpec(pipeline=BUILTIN_PIPELINES["greedy"], input=input_path)
+        )
+
+        # The forked worker inherits the patched target and never beats.
+        monkeypatch.setattr("repro.service.service.worker_main", _hang_forever)
+        service = SolverService(
+            root,
+            ServiceConfig(
+                workers=1,
+                poll_interval_seconds=0.02,
+                heartbeat_timeout_seconds=0.3,
+                max_restarts=0,
+            ),
+        )
+        try:
+            service.run_once()
+            assert client.status(record.job_id).state == "running"
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                service.run_once()
+                if client.status(record.job_id).is_terminal():
+                    break
+                time.sleep(0.05)
+            final = client.status(record.job_id)
+            assert final.state == "failed"
+            assert "hung" in (final.error or "")
+        finally:
+            service.stop()
+
+    def test_heartbeat_timeout_spares_live_workers(self, tmp_path):
+        """An armed (generous) timeout never kills a job that makes progress."""
+
+        graph = erdos_renyi_gnm(300, 900, seed=37)
+        input_path = str(tmp_path / "g.adj")
+        write_adjacency_file(graph, input_path).close()
+        root = str(tmp_path / "svc")
+        client = ServiceClient(root)
+        record = client.submit(
+            RunSpec(
+                pipeline=BUILTIN_PIPELINES["one_k_swap"],
+                input=input_path,
+                backend="numpy",
+            )
+        )
+        service = SolverService(
+            root,
+            ServiceConfig(
+                workers=1, poll_interval_seconds=0.02, heartbeat_timeout_seconds=60.0
+            ),
+        )
+        try:
+            service.drain(timeout_seconds=DRAIN_TIMEOUT)
+        finally:
+            service.stop()
+        final = client.status(record.job_id)
+        assert final.state == "done", final.error
+        # Terminal bookkeeping removes the beat file.
+        assert not os.path.exists(service.store.heartbeat_path(record.job_id))
+
+
+# ----------------------------------------------------------------------
 # Policies and batch submission
 # ----------------------------------------------------------------------
 class TestPolicies:
@@ -546,6 +657,17 @@ class TestPolicies:
         finally:
             service.stop()
         assert [record.state for record in records] == ["done", "done"]
+
+    def test_serve_accepts_job_workers_and_legacy_alias(self):
+        parser = build_parser()
+        modern = parser.parse_args(["serve", "svc", "--job-workers", "3"])
+        assert modern.job_workers == 3
+        legacy = parser.parse_args(["serve", "svc", "--workers", "5"])
+        assert legacy.job_workers == 5
+        armed = parser.parse_args(
+            ["serve", "svc", "--heartbeat-timeout-seconds", "2.5"]
+        )
+        assert armed.heartbeat_timeout_seconds == 2.5
 
     def test_store_survives_restart_with_no_open_jobs(self, adjacency_path, tmp_path):
         root = str(tmp_path / "svc")

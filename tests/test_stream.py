@@ -436,6 +436,32 @@ class TestUpdateFiles:
             load_updates("-")
         assert "<stdin>:2:" in str(excinfo.value)
 
+    @pytest.mark.parametrize("good_lines", [1, 5_000])
+    def test_load_updates_rejects_non_utf8_file(self, tmp_path, good_lines):
+        # 5,000 good lines put the bad byte far past the first read chunk.
+        path = tmp_path / "bad.upd"
+        path.write_bytes(b"+ 1 2\n" * good_lines + b"+ \xff\xfe 3\n+ 4 5\n")
+        with pytest.raises(StreamError) as excinfo:
+            load_updates(str(path))
+        assert str(excinfo.value) == f"{path}:{good_lines + 1}: not valid UTF-8"
+
+    def test_load_updates_rejects_non_utf8_stdin(self, monkeypatch):
+        import io
+
+        monkeypatch.setattr(
+            "sys.stdin", io.TextIOWrapper(io.BytesIO(b"+ 1 2\n+ \xff\xfe 3\n"))
+        )
+        with pytest.raises(StreamError, match=r"^<stdin>:2: not valid UTF-8$"):
+            load_updates("-")
+
+    def test_load_updates_reads_stdin_bytes(self, monkeypatch):
+        import io
+
+        monkeypatch.setattr(
+            "sys.stdin", io.TextIOWrapper(io.BytesIO(b"+ 1 2\r\n- 3 4"))
+        )
+        assert load_updates("-") == [("+", 1, 2), ("-", 3, 4)]
+
 
 @pytest.fixture
 def stream_setup(tmp_path):
