@@ -20,6 +20,24 @@ class TestParser:
         assert excinfo.value.code == 0
         assert "repro" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "g.adj"],
+            ["watch", "g.adj", "--updates", "u.upd"],
+            ["compare", "g.adj"],
+            ["reduce", "g.adj"],
+        ],
+        ids=["solve", "watch", "compare", "reduce"],
+    )
+    def test_execution_commands_have_no_workers_flag(self, argv, capsys):
+        # Every run executes its passes serially; only ``serve`` keeps
+        # ``--workers``, as the legacy alias of ``--job-workers``.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_datasets_lists_all_ten(self, capsys):

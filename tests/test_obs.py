@@ -15,7 +15,9 @@ The contracts under test:
   (``validate_trace``, ``read_journal``, ``follow_journal``) including
   torn trailing lines from a killed writer;
 * the service journals a merged per-job lifecycle timeline and
-  ``submit --follow`` tails it to completion.
+  ``submit --follow`` tails it to completion, and a job whose spec names
+  the deprecated ``workers`` field journals the same solver events as
+  one without it.
 """
 
 from __future__ import annotations
@@ -426,7 +428,39 @@ def _fast_config():
     )
 
 
+def _solver_events(journal_path):
+    """The engine's journal events with timing and process fields dropped."""
+
+    volatile = {"v", "ts", "job_id", "pid", "seconds", "elapsed_seconds"}
+    return [
+        {key: value for key, value in entry.items() if key not in volatile}
+        for entry in read_journal(journal_path)
+        if entry["event"].startswith(("run_", "stage_", "round"))
+    ]
+
+
 class TestServiceObservability:
+    def test_legacy_workers_job_journals_same_solver_events(
+        self, service_inputs, tmp_path
+    ):
+        from repro.pipeline.spec import RunSpec
+
+        root = str(tmp_path / "svc")
+        client = ServiceClient(root)
+        payload = {"pipeline": "two_k_swap", "input": service_inputs, "backend": "numpy"}
+        plain = client.submit(RunSpec.from_dict(payload))
+        legacy = client.submit(RunSpec.from_dict(dict(payload, workers=2)))
+        service = SolverService(root, _fast_config())
+        try:
+            service.drain(timeout_seconds=120.0)
+        finally:
+            service.stop()
+
+        plain_events = _solver_events(client.store.journal_path(plain.job_id))
+        assert [e["event"] for e in plain_events][:2] == ["run_start", "stage_start"]
+        assert plain_events[-1]["event"] == "run_end"
+        assert _solver_events(client.store.journal_path(legacy.job_id)) == plain_events
+
     def test_job_lifecycle_journal_and_store_metrics(self, service_inputs, tmp_path):
         root = str(tmp_path / "svc")
         client = ServiceClient(root)

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_INTERRUPTED, main
 from repro.core.greedy import greedy_mis
 from repro.core.one_k_swap import one_k_swap
 from repro.core.solver import PIPELINES, solve_mis
@@ -25,7 +25,9 @@ from repro.pipeline.context import ExecutionContext, resolve_backend_request
 from repro.pipeline.engine import PipelineEngine, decode_result, encode_result
 from repro.pipeline.spec import BUILTIN_PIPELINES, PipelineSpec, RunSpec, StageSpec
 from repro.pipeline.stages import available_stages, get_stage
+from repro.service.cache import spec_key_fields
 from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_file
+from repro.storage.converters import adjacency_to_binary
 from repro.storage.io_stats import IOStats
 from repro.validation.checks import is_independent_set, is_maximal_independent_set
 
@@ -227,6 +229,87 @@ class TestSpecs:
         legacy = run_with(workers=2)
         for field in ("size", "rounds", "sequential_scans", "random_vertex_lookups"):
             assert legacy[field] == plain[field]
+
+
+def _without_timings(summary):
+    """A ``--json`` run summary with its wall-clock fields dropped."""
+
+    summary = dict(summary)
+    summary.pop("elapsed_seconds")
+    summary["stages"] = [
+        {key: value for key, value in stage.items() if key != "elapsed_seconds"}
+        for stage in summary["stages"]
+    ]
+    return summary
+
+
+class TestDeprecatedWorkersField:
+    """``RunSpec.workers`` is kept for stored specs but never reaches execution."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("workers-field")
+        graph = erdos_renyi_gnm(900, 2_700, seed=23)
+        text = str(root / "g.adj")
+        write_adjacency_file(graph, text).close()
+        binary = str(root / "g.csr1")
+        adjacency_to_binary(text, binary)
+        return {"text": text, "csr1": binary}
+
+    def _run(self, tmp_path, capsys, payload, *extra_args):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(config), "--json", *extra_args]) == 0
+        return _without_timings(json.loads(capsys.readouterr().out))
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_spec_serializes_and_keys_workers_as_before(self, workers):
+        spec = RunSpec.from_dict(
+            {"pipeline": "one_k_swap", "input": "g.adj", "workers": workers}
+        )
+        assert spec.workers == workers
+        assert spec.to_dict()["workers"] == workers
+        again = RunSpec.from_json(json.dumps(spec.to_dict()))
+        assert again == spec
+        fields = spec_key_fields(spec, "csr1:00")
+        assert fields.get("workers") == (workers if workers > 1 else None)
+
+    @pytest.mark.parametrize("kind", ["text", "csr1"])
+    @pytest.mark.parametrize("pipeline", ["greedy", "one_k_swap", "two_k_swap"])
+    def test_run_output_identical_with_and_without_workers(
+        self, inputs, tmp_path, capsys, pipeline, kind
+    ):
+        payload = {"pipeline": pipeline, "input": inputs[kind], "backend": "numpy"}
+        plain = self._run(tmp_path, capsys, payload)
+        legacy = self._run(tmp_path, capsys, dict(payload, workers=4))
+        assert legacy == plain
+
+    @pytest.mark.parametrize("pipeline", ["one_k_swap", "two_k_swap"])
+    def test_interrupted_solve_resumes_under_a_workers_spec(
+        self, inputs, tmp_path, capsys, pipeline
+    ):
+        """A checkpoint carries over to a spec naming any worker count."""
+
+        checkpoint = str(tmp_path / "drill.ck")
+        solve = ["solve", inputs["text"], "--pipeline", pipeline, "--backend", "numpy"]
+        code = main(solve + ["--checkpoint", checkpoint, "--interrupt-after", "2"])
+        assert code == EXIT_INTERRUPTED
+        capsys.readouterr()
+        resumed = self._run(
+            tmp_path,
+            capsys,
+            {
+                "pipeline": pipeline,
+                "input": inputs["text"],
+                "backend": "numpy",
+                "workers": 4,
+                "checkpoint": checkpoint,
+                "resume": True,
+            },
+        )
+        assert main(solve + ["--json"]) == 0
+        reference = _without_timings(json.loads(capsys.readouterr().out))
+        assert resumed == reference
 
 
 # ----------------------------------------------------------------------

@@ -368,6 +368,27 @@ class TestServiceExecution:
         assert record.state == "failed"
         assert "bytes" in record.error
 
+    def test_legacy_workers_job_runs_serially_under_its_own_key(
+        self, adjacency_path, tmp_path
+    ):
+        root = str(tmp_path / "svc")
+        client = ServiceClient(root)
+        plain = client.submit(make_spec(adjacency_path))
+        legacy = client.submit(make_spec(adjacency_path, workers=4))
+        assert legacy.run_spec().workers == 4
+        assert legacy.cache_key != plain.cache_key
+        service = SolverService(root, fast_config())
+        try:
+            service.drain(timeout_seconds=DRAIN_TIMEOUT)
+        finally:
+            service.stop()
+        for record in (plain, legacy):
+            record = client.status(record.job_id)
+            assert record.state == "done" and not record.cache_hit
+        legacy_result = client.result(legacy.job_id)
+        assert_results_identical(legacy_result, client.result(plain.job_id))
+        assert_results_identical(legacy_result, reference_result(legacy.run_spec()))
+
     def test_result_of_unfinished_job_rejected(self, adjacency_path, tmp_path):
         client = ServiceClient(str(tmp_path / "svc"))
         record = client.submit(make_spec(adjacency_path))
@@ -423,6 +444,25 @@ class TestCrashRecovery:
             if interrupt_after <= total_writes:
                 assert record.attempts > 1  # it really crashed and resumed
             assert_results_identical(client.result(record.job_id), reference)
+
+    def test_legacy_workers_job_killed_at_every_write_resumes(
+        self, adjacency_path, tmp_path
+    ):
+        """A stored ``workers: 4`` job crosses crash/resume cycles unchanged."""
+
+        spec = make_spec(adjacency_path, pipeline="one_k_swap", workers=4)
+        root = str(tmp_path / "svc")
+        client = ServiceClient(root)
+        record = client.submit(spec, interrupt_after=1)
+        service = SolverService(root, fast_config(workers=1))
+        try:
+            service.drain(timeout_seconds=DRAIN_TIMEOUT)
+        finally:
+            service.stop()
+        record = client.status(record.job_id)
+        assert record.state == "done", record.error
+        assert record.attempts > 1
+        assert_results_identical(client.result(record.job_id), reference_result(spec))
 
     def test_sigkilled_worker_resumes_bit_identically(
         self, slow_adjacency_path, tmp_path
